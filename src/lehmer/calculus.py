@@ -25,6 +25,7 @@ that certify tilde_l is decreasing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import exp, fsum, log
 from typing import NamedTuple
@@ -129,8 +130,14 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
     if not ts:
         return 0.0
     t_max = max(ts)
-    delta = exp(t_max - mu - mv) * fsum(exp(t - t_max) for t in ts) / (su * sv)
-    return _lehmer_value(spec, p) * delta
+    shift = t_max - mu - mv
+    s = fsum(exp(t - t_max) for t in ts)
+    delta = exp(shift) * s / (su * sv)
+    value = _lehmer_value(spec, p)
+    if delta < sys.float_info.min:
+        # a subnormal L'/L has lost digits: put L into the exponent instead
+        return exp(shift + log(value)) * s / (su * sv)
+    return value * delta
 
 
 def _shifted(lw, l, p: float) -> tuple[float, float]:
@@ -189,25 +196,22 @@ def _mp_moment(spec: MeanSpec, p, k: int) -> mp.mpf:
     return mp.fsum(ui * li**k for ui, li in zip(u, logs)) / mp.fsum(u)
 
 
-def _mp_bracket(spec: MeanSpec, p) -> mp.mpf:
+def _mp_bracket(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf]:
+    """The bracket L''/L at the working precision, and the largest of its terms."""
     m1p = _mp_moment(spec, p, 1)
     m1q = _mp_moment(spec, p - 1, 1)
     m2p = _mp_moment(spec, p, 2)
     m2q = _mp_moment(spec, p - 1, 2)
-    return m2p - m2q - 2 * m1q * (m1p - m1q)
+    bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
+    return bracket, max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
 
 
 def _second_derivative_mp(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> float:
     with mp.workdps(dps):
         pm = mp.mpf(p)
-        m1p = _mp_moment(spec, pm, 1)
-        m1q = _mp_moment(spec, pm - 1, 1)
-        m2p = _mp_moment(spec, pm, 2)
-        m2q = _mp_moment(spec, pm - 1, 2)
-        bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
+        bracket, scale = _mp_bracket(spec, pm)
         # residual cancellation below the working precision is noise, and
         # reporting it as a signed value would contradict the closed forms
-        scale = max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
         if abs(bracket) < mp.mpf(10) ** (8 - dps) * scale:
             return 0.0
         return float(_mp_lehmer(spec, pm) * bracket)

@@ -133,13 +133,6 @@ def make_spec(values: Iterable[float], weights: Sequence[float] | None = None) -
     return MeanSpec(tuple(v for v, _ in kept), tuple(w for _, w in kept))
 
 
-def _shifted_log_sum(exponents: Sequence[float]) -> tuple[float, float]:
-    """Return (M, S) with sum_i exp(a_i) = exp(M) * S and S in [1, n]."""
-    m = max(exponents)
-    s = math.fsum(math.exp(a - m) for a in exponents)
-    return m, s
-
-
 def lehmer(spec: MeanSpec, p: float) -> MeanValue:
     """Evaluate L(p). Raises DomainError for non-finite p.
 
@@ -166,9 +159,8 @@ def _lehmer_value(spec: MeanSpec, p: float) -> float:
     ia = max(range(len(num)), key=num.__getitem__)
     ib = max(range(len(den)), key=den.__getitem__)
     sa = math.fsum(math.exp(a - num[ia]) for a in num)
+    # the largest term adds exp(0) = 1 and none is negative, so sb >= 1
     sb = math.fsum(math.exp(b - den[ib]) for b in den)
-    # positivity of the weighted denominator is structural; keep it checked
-    assert sb > 0.0
     if ia == ib and sa == 1.0 and sb == 1.0:
         # one value dominates both sums: the mean is that value to the last ulp
         return spec.values[ia]

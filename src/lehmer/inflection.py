@@ -3,14 +3,20 @@
 Strategy: expand a symmetric scan range by doubling until the curvature has
 its asymptotic signs (positive at the left end, negative at the right end)
 and the mean itself sits within 1e-6 of its horizontal asymptotes at both
-ends. Then scan a uniform grid, bracket every sign change, adaptively
-densify suspicious root-free cells (curvature dipping far below its
-neighborhood without crossing), and refine all brackets by batched
-bisection.
+ends. Then clear the cells of a uniform grid over that range that provably
+hold no zero of L'', coarse cells first; evaluate the sign of L'' only at
+the ends of the cells that remain; bracket every sign change; split the
+remaining cells without one at dyadic midpoints, again clearing what can be
+cleared; and refine all brackets by batched bisection.
 
-The scanner never evaluates L'' directly. It uses an equivalent pairwise
-form that carries sign and log magnitude separately, so endpoint sign tests
-stay meaningful at exponents where the raw second derivative underflows:
+A cell is cleared by the exponential-sum form of L'' (see _ExpSum): either
+one term outweighs all the others on the whole cell, or the value at its
+midpoint exceeds the half-width times a bound on the slope. Both tests
+carry a rounding bound, so a cell that holds a root is never cleared.
+
+Signs come from an equivalent pairwise form that carries sign and log
+magnitude separately, so endpoint sign tests stay meaningful at exponents
+where the raw second derivative underflows:
 
     sign(L''(p)) = sign( sum_{i<j} exp(t_ij) (d_i + d_j) )
     t_ij = log(w_i w_j (x_i - x_j)(log x_i - log x_j)) + (p-1)(log x_i + log x_j)
@@ -21,6 +27,7 @@ Each t_ij term is shifted by the running maximum before exponentiation.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,10 +53,17 @@ __all__ = [
 
 ASYMPTOTE_TOLERANCE = 1e-6
 
-_DENSIFY_DEPTH = 12
-_DENSIFY_DIP = math.log(1e-3)  # midpoint dip vs neighborhood, log scale
+_log = logging.getLogger(__name__)
+
+_SPLIT_DEPTH = 12
+_COARSE_CELLS = 128            # about this many cells start the exclusion
+_BRANCH = 16                   # parts per surviving cell at the next exclusion level
+_MARGIN = 1e-9                 # relative slack on every exclusion comparison
+_U = 2.0**-53                  # unit roundoff of doubles
+_LN2 = math.log(2.0)
 _ESCALATION_FACTOR = 1e-3      # refined residual vs local curvature scale
 _CHUNK_ELEMENTS = 1 << 21      # elements per vectorized kernel chunk
+_TEST_ELEMENTS = 1 << 16       # cells times terms per exclusion chunk
 _PARTIAL_BUDGET = 400_000      # grid points for the post-exhaustion pass
 _MAX_BISECT_ITER = 128
 
@@ -181,7 +195,158 @@ class _Kernel:
 def _mp_sign(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> int:
     """Sign of L''(p) at dps digits; L > 0, so the bracket's sign suffices."""
     with mp.workdps(dps):
-        return int(mp.sign(_mp_bracket(spec, mp.mpf(p))))
+        bracket, _ = _mp_bracket(spec, mp.mpf(p))
+        return int(mp.sign(bracket))
+
+
+# ---------------------------------------------------------------------------
+# certified exclusion
+
+
+class _ExpSum:
+    """A positive multiple of L'' as an exponential sum in q = p - 1.
+
+    Multiplying the kernel's pairwise form by sum_k v_k gives
+
+        f(q) = sum_{i<j} sum_k c_ijk exp(q a_ijk),   a_ijk = l_i + l_j + l_k
+        c_ijk = w_i w_j w_k (x_i - x_j)(l_i - l_j)(l_i + l_j - 2 l_k)
+
+    Terms with the same multiset {i, j, k} share their exponent and are
+    merged, which leaves the n(n+4)(n-1)/6 terms of count_bound. The sum is
+    built in doubles with a rounding bound. Coefficient t is 2^k_t times a
+    mantissa near 1, known to within a radius; exponent a_t is off by at
+    most e_a_t. math.log is taken to be within 2 ulp.
+    """
+
+    def __init__(self, spec: MeanSpec):
+        x = spec.values
+        l = spec.log_values
+        w = spec.weights
+        n = spec.n
+        el = [4.0 * _U * abs(v) for v in l]
+        parts: dict[tuple[int, ...], list[tuple[float, float, float, float, float]]] = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                dx = x[i] - x[j]
+                if dx == 0.0:
+                    continue  # equal values contribute exactly nothing
+                ld = l[i] - l[j]
+                e_ld = el[i] + el[j] + _U * abs(ld)
+                s = l[i] + l[j]
+                e_s = el[i] + el[j] + _U * abs(s)
+                for k in range(n):
+                    cb = s - 2.0 * l[k]
+                    e_cb = e_s + 2.0 * el[k] + _U * abs(cb)
+                    a = s + l[k]
+                    core = ld * cb if dx > 0.0 else -(ld * cb)
+                    rad = e_ld * abs(cb) + abs(ld) * e_cb + e_ld * e_cb + 4.0 * _U * abs(core)
+                    key = tuple(sorted((i, j, k)))
+                    parts.setdefault(key, []).append((abs(dx), core, rad, a, e_s + el[k] + _U * abs(a)))
+        mant, rads, expo, a, e_a = [], [], [], [], []
+        for key, group in parts.items():
+            # in units of D, the largest |x_i - x_j| of the group
+            d_max = max(item[0] for item in group)
+            g = rad = 0.0
+            for adx, core, rad_core, _, _ in group:
+                ratio = adx / d_max  # an underflow here costs < 1e-300 of g
+                g += core * ratio
+                rad += rad_core * ratio + 4.0 * _U * abs(core * ratio) + 1e-300
+            # W D as an exact power of two times a mantissa good to 4 roundings
+            scale, k_t = 1.0, 0
+            for factor in (w[key[0]], w[key[1]], w[key[2]], d_max):
+                fm, fe = math.frexp(factor)
+                scale *= fm
+                k_t += fe
+            shift = math.frexp(scale * max(abs(g), rad))[1]
+            m_c = math.ldexp(scale * g, -shift)
+            mant.append(m_c)
+            rads.append(math.ldexp(scale * rad, -shift) * (1.0 + 8.0 * _U) + 6.0 * _U * abs(m_c))
+            expo.append(k_t + shift)
+            a.append(group[0][3])
+            e_a.append(max(item[4] for item in group))
+        m_c = np.array(mant)
+        m_r = np.array(rads)
+        absm = np.abs(m_c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_c = np.log(absm)
+            log_r = np.log(m_r)
+            log_hi = np.log((absm + m_r) * (1.0 + _U))
+            log_lo = np.log(np.maximum(absm - m_r, 0.0) * (1.0 - _U))
+        self.sign = np.sign(m_c)
+        self.k = np.array(expo, dtype=np.int64)
+        self.a = np.array(a)
+        self.e_a = np.array(e_a)
+        self.n_terms = m_c.shape[0]
+        # logs of the mantissa, of its radius and of the bounds on |c_t|, the
+        # last three already widened by the error of log itself
+        self.log_c = log_c
+        self.log_r = log_r + 4.0 * _U * (np.abs(log_r) + 1.0)
+        self.log_hi = log_hi + 4.0 * _U * (np.abs(log_hi) + 1.0)
+        self.log_lo = log_lo - 4.0 * _U * (np.abs(log_lo) + 1.0)
+        self.eps_c = 4.0 * _U * (np.where(np.isfinite(log_c), np.abs(log_c), 0.0) + 1.0)
+        self.rank = log_c + _LN2 * self.k  # log|c_t| to pick each cell's top term
+
+    def test(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cleared, sign) for the closed cells [lo, hi] of p; see _test."""
+        chunk = max(1, _TEST_ELEMENTS // self.n_terms)
+        if lo.shape[0] <= chunk:
+            return self._test(lo, hi)
+        parts = [self._test(lo[s : s + chunk], hi[s : s + chunk]) for s in range(0, lo.shape[0], chunk)]
+        return np.concatenate([c for c, _ in parts]), np.concatenate([s for _, s in parts])
+
+    def _test(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cleared, sign) for the closed cells [lo, hi] of p.
+
+        cleared is True where L'' provably has no zero on the cell, by one
+        of two tests: (2) one term outweighs the sum of all the others on
+        the whole cell; (1) |f(m)| minus its rounding bound exceeds the
+        half-width r times max |f'| on the cell, m the midpoint. sign is the
+        sign of L'' at m where the rounding bound settles it, else 0.
+
+        Each cell divides f by exp(theta q), theta the exponent of the term
+        largest at m, and by that term's size.
+        """
+        m = 0.5 * (lo + hi) - 1.0
+        r0 = 0.5 * (hi - lo)
+        am = np.abs(m)
+        r = r0 + 4.0 * _U * (am + r0 + 1.0)  # covers the rounding of m and r0
+        rows = np.arange(m.shape[0])
+        mm = m[:, None]
+        rr = r[:, None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            top = np.argmax(self.rank + self.a * mm, axis=1)
+            d = self.a - self.a[top][:, None]
+            ad = np.abs(d)
+            dk = _LN2 * (self.k - self.k[top][:, None])
+            dm = d * mm
+            spread = ad * rr
+            shift = dk + dm  # log size of each term against the top one at m, before mantissas
+            eta = (
+                self.eps_c
+                + self.eps_c[top][:, None]
+                + 8.0 * _U * (np.abs(dk) + np.abs(dm) + spread)
+                + self.e_a * (am + r)[:, None]
+            )
+
+            floor = self.log_lo[top] - eta[rows, top]
+            share = np.exp(self.log_hi - floor[:, None] + shift + spread + eta)
+            share[rows, top] = 0.0
+            dominant = share.sum(axis=1) < 1.0 - _MARGIN
+
+            base = self.log_c[top][:, None]
+            val = np.exp(self.log_c - base + shift)
+            f_mid = val @ self.sign
+            err = (
+                (val * np.expm1(eta)).sum(axis=1)
+                + np.exp(self.log_r - base + shift + eta).sum(axis=1)
+                + 2.0 * _U * (self.n_terms + 4) * val.sum(axis=1)
+                + 1e-300 * self.n_terms
+            )
+            growth = np.exp(self.log_hi - base + shift + spread + eta) * (ad * (1.0 + 2.0 * _U) + self.e_a)
+            slope = (1.0 + 4.0 * _U) * r * growth.sum(axis=1)
+            flat = np.abs(f_mid) - err > slope * (1.0 + _MARGIN)
+            sign = np.where(np.abs(f_mid) > err * (1.0 + _MARGIN), np.sign(f_mid), 0.0)
+        return dominant | flat, sign.astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -199,109 +364,175 @@ class _Bracket:
         self.exact_p = exact_p  # set when the grid hit the root exactly
 
 
-def _build_grid(half: float, per_unit: float) -> np.ndarray:
-    m = int(math.floor(half * per_unit + 1e-9))
-    ps = np.arange(-m, m + 1, dtype=float) / per_unit
-    if ps[0] > -half:
-        ps = np.concatenate(([-half], ps, [half]))
-    return ps
+class _Grid:
+    """The uniform scan grid over [-half, half], as index arithmetic.
+
+    Point k is (k - m)/per_unit for k = 0..2m; when half is not a whole
+    number of steps, -half and half are added at the ends and the other
+    indices shift by one.
+    """
+
+    def __init__(self, half: float, per_unit: float):
+        m = int(math.floor(half * per_unit + 1e-9))
+        self.half = half
+        self.per_unit = per_unit
+        self.ends = float(-m) / per_unit > -half
+        self.offset = m + int(self.ends)
+        self.size = 2 * m + 1 + 2 * int(self.ends)
+
+    def points(self, idx: np.ndarray) -> np.ndarray:
+        ps = (idx - self.offset).astype(float) / self.per_unit
+        if self.ends:
+            ps[idx == 0] = -self.half
+            ps[idx == self.size - 1] = self.half
+        return ps
+
+    def point(self, k: int) -> float:
+        return float(self.points(np.array([k]))[0])
 
 
-def _window_max(a: np.ndarray, radius: int) -> np.ndarray:
-    out = a.copy()
-    for shift in range(1, radius + 1):
-        out[shift:] = np.maximum(out[shift:], a[:-shift])
-        out[:-shift] = np.maximum(out[:-shift], a[shift:])
-    return out
+def _live_cells(grid: _Grid, expsum: _ExpSum) -> tuple[np.ndarray, np.ndarray]:
+    """Indices k of the grid cells [k, k+1] that exclusion cannot clear.
+
+    About _COARSE_CELLS cells of a power-of-two number of grid cells are
+    tested first; each survivor is cut into _BRANCH equal parts and tested
+    again, until single grid cells remain. A survivor whose midpoint value
+    is lost in rounding is not cut further: splitting cannot clear it, so
+    all its grid cells stay live untested. Returns the sorted live cells
+    and, for each, whether it passed through the tests down to its own
+    level.
+    """
+    n_cells = grid.size - 1
+    width = 1 << max(0, ((n_cells - 1) // _COARSE_CELLS).bit_length())
+    lo = np.arange(0, n_cells, width)
+    blurred = []
+    while True:
+        hi = np.minimum(lo + width, n_cells)
+        cleared, sign = expsum.test(grid.points(lo), grid.points(hi))
+        if width == 1:
+            tested = lo[~cleared]
+            break
+        lost = lo[~cleared & (sign == 0)]
+        blurred.append((lost[:, None] + np.arange(width)).ravel())
+        lo = lo[~cleared & (sign != 0)]
+        step = max(width // _BRANCH, 1)
+        lo = (lo[:, None] + np.arange(0, width, step)).ravel()
+        lo = lo[lo < n_cells]
+        width = step
+    untested = np.concatenate(blurred) if blurred else np.empty(0, dtype=np.int64)
+    untested = untested[untested < n_cells]
+    cells = np.concatenate((tested, untested))
+    order = np.argsort(cells)
+    return cells[order], (np.arange(cells.shape[0]) < tested.shape[0])[order]
 
 
-def _zero_runs(zero_mask: np.ndarray) -> list[tuple[int, int]]:
-    idx = np.nonzero(zero_mask)[0]
-    if idx.size == 0:
-        return []
-    runs = []
-    start = prev = int(idx[0])
-    for k in idx[1:]:
-        k = int(k)
-        if k == prev + 1:
-            prev = k
-        else:
-            runs.append((start, prev))
-            start = prev = k
-    runs.append((start, prev))
-    return runs
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
-def _collect_brackets(
-    kernel: _Kernel, ps: np.ndarray, signs: np.ndarray, logmag: np.ndarray, warnings: list[str]
-) -> list[_Bracket]:
-    brackets: list[_Bracket] = []
-    scale_pt = _window_max(logmag, 2)
+def _collect_brackets(kernel: _Kernel, expsum: _ExpSum, grid: _Grid, warnings: list[str]) -> list[_Bracket]:
+    cells, tested = _live_cells(grid, expsum)
+    known = _sorted_unique(np.concatenate((cells, cells + 1)))
+    signs, logmag = kernel(grid.points(known))
+    pos = np.searchsorted(known, cells)
+    s_lo = signs[pos]
+    s_hi = signs[pos + 1]
 
-    # grid points where the kernel is exactly zero: either a root that fell
-    # on the grid (opposite flanking signs) or a tangential touch
-    for a, b in _zero_runs(signs == 0):
-        if a == 0 or b == len(ps) - 1:
-            warnings.append(f"zero curvature at scan boundary near p={ps[a]:.6g}; skipped")
-            continue
-        s_left = int(signs[a - 1])
-        s_right = int(signs[b + 1])
-        local = max(float(logmag[a - 1]), float(logmag[b + 1]))
-        if s_left != s_right:
-            mid = float(ps[(a + b) // 2])
-            brackets.append(_Bracket(float(ps[a - 1]), float(ps[b + 1]), s_left, local, exact_p=mid))
-        else:
-            warnings.append(
-                f"tangential zero of the second derivative near p={ps[(a + b) // 2]:.6g}; "
+    # equal-sign live cells: split at dyadic midpoints, keeping the halves
+    # exclusion cannot clear, for _SPLIT_DEPTH levels
+    found: list[tuple[float, float, int, int]] = []  # (lo, hi, sign_lo, grid cell)
+    split_warnings: list[str] = []
+    flat = (s_lo == s_hi) & (s_lo != 0)
+    base = cells[flat & tested]
+    los = grid.points(base)
+    his = grid.points(base + 1)
+    sgn = s_lo[flat & tested]
+    uncleared = int(np.count_nonzero(flat & ~tested))
+    for _depth in range(_SPLIT_DEPTH):
+        if los.size == 0:
+            break
+        mids = 0.5 * (los + his)
+        sm, _ = kernel(mids)
+        opp = (sm != 0) & (sm != sgn)
+        for idx in np.nonzero(opp)[0]:
+            found.append((float(los[idx]), float(mids[idx]), int(sgn[idx]), int(base[idx])))
+            found.append((float(mids[idx]), float(his[idx]), int(sm[idx]), int(base[idx])))
+        tangent = sm == 0
+        for idx in np.nonzero(tangent)[0]:
+            split_warnings.append(
+                f"tangential zero of the second derivative near p={mids[idx]:.6g}; "
                 "not counted as an inflection"
             )
+        keep = ~(opp | tangent)
+        los = np.concatenate((los[keep], mids[keep]))
+        his = np.concatenate((mids[keep], his[keep]))
+        sgn = np.concatenate((sgn[keep], sgn[keep]))
+        base = np.concatenate((base[keep], base[keep]))
+        # a half whose midpoint value is lost in rounding cannot be cleared
+        # by splitting it further, and the kernel's signs there are noise
+        cleared, sign = expsum.test(los, his)
+        live = ~cleared & (sign != 0)
+        uncleared += int(np.count_nonzero(~cleared & (sign == 0)))
+        los, his, sgn, base = los[live], his[live], sgn[live], base[live]
+    uncleared += int(los.size)  # survivors of the last level are dropped
 
-    # ordinary sign changes between adjacent grid points
-    change = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    for i in change:
-        i = int(i)
-        local = float(max(scale_pt[i], scale_pt[i + 1]))
-        brackets.append(_Bracket(float(ps[i]), float(ps[i + 1]), int(signs[i]), local))
+    # runs of grid points where the kernel is exactly zero: a root that fell
+    # on the grid (opposite flanking signs) or a tangential touch
+    zeros = known[signs == 0]
+    runs = np.split(zeros, np.nonzero(np.diff(zeros) != 1)[0] + 1) if zeros.size else []
+    changes = cells[s_lo * s_hi < 0].tolist()
 
-    # adaptive densification of equal-sign cells whose midpoint curvature
-    # dips far below the neighborhood scale: paired roots can hide there
-    cells = np.nonzero((signs[:-1] == signs[1:]) & (signs[:-1] != 0))[0]
-    if cells.size:
-        los = ps[cells].astype(float)
-        his = ps[cells + 1].astype(float)
-        sgn = signs[cells].astype(np.int8)
-        lml = logmag[cells].astype(float)
-        lmh = logmag[cells + 1].astype(float)
-        thr = _DENSIFY_DIP + np.maximum(scale_pt[cells], scale_pt[cells + 1])
-        local_scale = np.maximum(scale_pt[cells], scale_pt[cells + 1])
-        for _depth in range(_DENSIFY_DEPTH):
-            if los.size == 0:
-                break
-            mids = 0.5 * (los + his)
-            sm, lmm = kernel(mids)
-            opp = (sm != 0) & (sm != sgn)
-            for idx in np.nonzero(opp)[0]:
-                idx = int(idx)
-                brackets.append(_Bracket(float(los[idx]), float(mids[idx]), int(sgn[idx]), float(local_scale[idx])))
-                brackets.append(_Bracket(float(mids[idx]), float(his[idx]), int(sm[idx]), float(local_scale[idx])))
-            tangent = sm == 0
-            for idx in np.nonzero(tangent)[0]:
-                warnings.append(
-                    f"tangential zero of the second derivative near p={mids[int(idx)]:.6g}; "
-                    "not counted as an inflection"
-                )
-            keep = ~(opp | tangent)
-            left_keep = keep & (np.minimum(lml, lmm) < thr)
-            right_keep = keep & (np.minimum(lmm, lmh) < thr)
-            los = np.concatenate((los[left_keep], mids[right_keep]))
-            his = np.concatenate((mids[left_keep], his[right_keep]))
-            sgn = np.concatenate((sgn[left_keep], sgn[right_keep]))
-            new_lml = np.concatenate((lml[left_keep], lmm[right_keep]))
-            new_lmh = np.concatenate((lmm[left_keep], lmh[right_keep]))
-            thr = np.concatenate((thr[left_keep], thr[right_keep]))
-            local_scale = np.concatenate((local_scale[left_keep], local_scale[right_keep]))
-            lml, lmh = new_lml, new_lmh
+    # the local scale of a bracket is the largest log|L''| over its grid cell
+    # and two grid points on either side; evaluate what the scan skipped
+    bracket_cells = np.array(changes + [item[3] for item in found], dtype=np.int64)
+    ends = [k for run in runs for k in (run[0] - 1, run[-1] + 1)]
+    wanted = np.concatenate([bracket_cells + shift for shift in range(-2, 4)] + [np.array(ends, dtype=np.int64)])
+    wanted = _sorted_unique(wanted[(wanted >= 0) & (wanted < grid.size)])
+    wanted = wanted[~np.isin(wanted, known, assume_unique=True, kind="sort")]
+    n_points = known.size + wanted.size
+    if wanted.size:
+        s_new, lm_new = kernel(grid.points(wanted))
+        known = np.concatenate((known, wanted))
+        order = np.argsort(known)
+        known = known[order]
+        signs = np.concatenate((signs, s_new))[order]
+        logmag = np.concatenate((logmag, lm_new))[order]
 
+    def at(k: int) -> tuple[int, float]:
+        i = int(np.searchsorted(known, k))
+        return int(signs[i]), float(logmag[i])
+
+    def local_scale(k: int) -> float:
+        return max(at(j)[1] for j in range(max(k - 2, 0), min(k + 4, grid.size)))
+
+    brackets: list[_Bracket] = []
+    for run in runs:
+        a, b = int(run[0]), int(run[-1])
+        if a == 0 or b == grid.size - 1:
+            warnings.append(f"zero curvature at scan boundary near p={grid.point(a):.6g}; skipped")
+            continue
+        mid = grid.point((a + b) // 2)
+        (s_left, lm_left), (s_right, lm_right) = at(a - 1), at(b + 1)
+        if s_left != s_right:
+            brackets.append(_Bracket(grid.point(a - 1), grid.point(b + 1), s_left, max(lm_left, lm_right), exact_p=mid))
+        else:
+            warnings.append(
+                f"tangential zero of the second derivative near p={mid:.6g}; not counted as an inflection"
+            )
+    warnings.extend(split_warnings)
+    for k in changes:
+        brackets.append(_Bracket(grid.point(k), grid.point(k + 1), at(k)[0], local_scale(k)))
+    for lo, hi, sign_lo, k in found:
+        brackets.append(_Bracket(lo, hi, sign_lo, local_scale(k)))
+
+    _log.debug(
+        "scan half-width %g: %d live grid cells, %d kernel points on the grid, %d split cells left uncleared",
+        grid.half,
+        cells.size,
+        n_points,
+        uncleared,
+    )
     brackets.sort(key=lambda br: br.lo)
     return brackets
 
@@ -380,9 +611,7 @@ def _scan_and_refine(spec: MeanSpec, kernel: _Kernel, half: float, config: ScanC
             f"scan range exhausted at half-width {half:g}; results cover a budget-limited pass only"
         )
         per_unit = min(per_unit, _PARTIAL_BUDGET / (2.0 * half))
-    ps = _build_grid(half, per_unit)
-    signs, logmag = kernel(ps)
-    brackets = _collect_brackets(kernel, ps, signs, logmag, warnings)
+    brackets = _collect_brackets(kernel, _ExpSum(spec), _Grid(half, per_unit), warnings)
 
     mids = _bisect_all(kernel, brackets, config.refine_tolerance)
     precision_flag = config.precision_mode == "extended"

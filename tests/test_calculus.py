@@ -84,6 +84,12 @@ class TestFirstDerivative:
         for p in (-1e5, -500.0, 500.0, 1e5):
             assert first_derivative(spec, p) >= 0.0
 
+    def test_subnormal_ratio_keeps_its_digits(self):
+        # L'/L is subnormal here while L' itself is a normal double; the
+        # reference is L (m_1(p) - m_1(p-1)) in 400-digit arithmetic
+        spec = make_spec([1e-50, 1.0, 1e50])
+        assert first_derivative(spec, 7.5) == pytest.approx(1.1512925464970224e-273, rel=1e-12)
+
 
 class TestSecondDerivative:
     def test_pair_sign_structure(self):

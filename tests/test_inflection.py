@@ -1,5 +1,8 @@
 """Inflection location: scan, bisection, bounds, closed-form cross-checks."""
 
+import time
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,6 +20,9 @@ from lehmer import (
     make_spec,
     weighted_n2_inflection,
 )
+from lehmer.calculus import _mp_bracket
+from lehmer.inflection import _ExpSum, _Grid, _live_cells
+from lehmer.search import Cluster
 
 THREE_ROOT_VALUES = [1.0259, 1.0241, 1.0244, 0.96]
 # located by this scanner, then re-bisected on 50-digit arithmetic
@@ -242,3 +248,129 @@ class TestWiderSpecs:
             weights = rng.uniform(0.5, 2.0, n).tolist()
             report = find_inflections(make_spec(values, weights))
             assert report.parity_ok
+
+
+class TestHeavyInstances:
+    """Many-decade and clustered inputs at the cost of a normal scan.
+
+    Evaluating the sign at every grid point and splitting every equal-sign
+    cell costs 0.4-2.2 s on each of these; clearing cells by exclusion takes
+    milliseconds. The bound leaves room for a slow machine and still fails
+    if the scan touches the whole grid again.
+    """
+
+    BOUND_S = 0.25
+
+    @pytest.mark.parametrize(
+        "values,count,side",
+        [
+            ([1e-300, 1e300], 1, "at_one"),
+            ([1e-5, 1e5], 1, "at_one"),
+            ([1e-50, 1.0, 1e50], 1, "above_one"),
+            ([1.0, 1.0001, 1.0002], 1, "below_one"),
+            (THREE_ROOT_VALUES, 3, None),
+        ],
+    )
+    def test_roots_and_cost(self, values, count, side):
+        spec = make_spec(values)
+        find_inflections(spec)  # first call pays for imports and caches
+        start = time.perf_counter()
+        report = find_inflections(spec)
+        elapsed = time.perf_counter() - start
+        assert len(report.roots) == count
+        if side == "at_one":
+            assert report.roots[0].p_star == 1.0
+        elif side is not None:
+            assert classify_n3_side(spec) == side
+            assert (report.roots[0].p_star > 1.0) == (side == "above_one")
+        else:
+            for root, expected in zip(report.roots, THREE_ROOTS):
+                assert root.p_star == pytest.approx(expected, abs=1e-6)
+        assert elapsed < self.BOUND_S
+
+
+def _reference_sign(spec, p, dps=60):
+    """Sign of L'' from the 60-digit bracket, or None when fewer than 12 digits survive."""
+    with mp.workdps(dps):
+        bracket, scale = _mp_bracket(spec, mp.mpf(p))
+        if abs(bracket) < mp.mpf(10) ** (12 - dps) * scale:
+            return None
+        return int(mp.sign(bracket))
+
+
+class TestExclusionSoundness:
+    """A cell that holds a root of L'' is never cleared."""
+
+    KINDS = ("log_uniform", "cluster", "wide", "near_one")
+
+    @staticmethod
+    def _specs(rng, per_kind):
+        cluster = Cluster()
+        for _ in range(per_kind):
+            for kind in TestExclusionSoundness.KINDS:
+                n = int(rng.integers(2, 6))
+                if kind == "log_uniform":
+                    values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+                elif kind == "cluster":
+                    values = cluster.draw(rng, n)
+                elif kind == "wide":
+                    values = np.exp(rng.uniform(-700.0, 700.0, n))
+                else:
+                    values = 1.0 + rng.uniform(0.0, 1e-6, n)
+                weights = rng.uniform(0.5, 2.0, n).tolist() if rng.random() < 0.3 else None
+                yield make_spec(values.tolist(), weights)
+
+    @staticmethod
+    def _report(spec):
+        try:
+            return find_inflections(spec)
+        except RangeExhaustedError as exc:
+            return exc.report
+
+    def test_cells_straddling_a_root_survive(self, rng):
+        checked = 0
+        for spec in self._specs(rng, 15):
+            expsum = _ExpSum(spec)
+            for root in self._report(spec).roots:
+                widths = np.exp(rng.uniform(np.log(1e-7), np.log(1e3), 40))
+                left = rng.uniform(0.1, 0.9, 40) * widths
+                cleared, _ = expsum.test(root.p_star - left, root.p_star - left + widths)
+                assert not cleared.any(), (spec, root.p_star)
+                checked += 40
+        assert checked >= 1500
+
+    def test_unit_pair_cells_ending_at_one_survive(self, rng):
+        for _ in range(30):
+            values = np.exp(rng.uniform(-300.0, 300.0, 2)).tolist()
+            expsum = _ExpSum(make_spec(values))
+            widths = np.exp(rng.uniform(np.log(1e-7), np.log(1e3), 40))
+            ones = np.ones(40)
+            assert not expsum.test(ones - widths, ones)[0].any(), values
+            assert not expsum.test(ones, ones + widths)[0].any(), values
+
+    def test_certified_sign_matches_high_precision(self, rng):
+        agree = reliable = 0
+        for spec in self._specs(rng, 5):
+            report = self._report(spec)
+            half = report.scan_range[1]
+            ps = np.concatenate((rng.uniform(-half, half, 6), [r.p_star + rng.normal() for r in report.roots]))
+            _, signs = _ExpSum(spec).test(ps, ps)
+            for p, sign in zip(ps.tolist(), signs.tolist()):
+                expected = _reference_sign(spec, p)
+                if expected is None:
+                    continue
+                reliable += 1
+                if sign != 0:
+                    assert sign == expected, (spec, p)
+                    agree += 1
+        # the rounding bound settles the sign at most points
+        assert reliable >= 60
+        assert agree >= 0.9 * reliable
+
+    def test_scan_clears_most_of_the_grid(self):
+        # the canonical instance scans +-8192 at 8 points per unit: about
+        # 131k grid points, of which a handful near the roots stay live
+        spec = make_spec(THREE_ROOT_VALUES)
+        cells, tested = _live_cells(_Grid(8192.0, 8.0), _ExpSum(spec))
+        assert 3 <= cells.size <= 200
+        assert tested.all()
