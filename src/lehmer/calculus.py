@@ -14,7 +14,9 @@ The first-derivative difference is evaluated through an equivalent pairwise
 form whose terms are all non-negative, so the result can never round to a
 negative number. The second-derivative bracket is the one place where digits
 cancel; when more than ten decimal digits are lost the computation escalates
-to 50-digit arithmetic automatically (precision "auto", the default).
+to 50-digit arithmetic automatically (precision "auto", the default). The
+50-digit path computes the powers w_i x_i^p and w_i x_i^(p-1) and the logs
+once and shares them among the four moments and L itself.
 
 For two and three values the module also provides the closed forms of L''
 and, for n=3, the constant K, the bracketed factor tilde_l whose single root
@@ -190,31 +192,41 @@ def _mp_lehmer(spec: MeanSpec, p) -> mp.mpf:
     return num / den
 
 
-def _mp_moment(spec: MeanSpec, p, k: int) -> mp.mpf:
-    u = _mp_terms(spec, p)
+def _mp_curvature(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
+    """The bracket L''/L, the largest of its terms, and L, in one pass.
+
+    The powers w_i x_i^p and w_i x_i^(p-1), the logs and their squares are
+    each computed once and shared by the four moments and by L.
+    """
+    u_p = _mp_terms(spec, p)
+    u_q = _mp_terms(spec, p - 1)
+    s_p = mp.fsum(u_p)
+    s_q = mp.fsum(u_q)
     logs = [mp.log(mp.mpf(v)) for v in spec.values]
-    return mp.fsum(ui * li**k for ui, li in zip(u, logs)) / mp.fsum(u)
+    squares = [li**2 for li in logs]
+    m1p = mp.fsum(ui * li for ui, li in zip(u_p, logs)) / s_p
+    m1q = mp.fsum(ui * li for ui, li in zip(u_q, logs)) / s_q
+    m2p = mp.fsum(ui * li for ui, li in zip(u_p, squares)) / s_p
+    m2q = mp.fsum(ui * li for ui, li in zip(u_q, squares)) / s_q
+    bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
+    scale = max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
+    return bracket, scale, s_p / s_q
 
 
 def _mp_bracket(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf]:
     """The bracket L''/L at the working precision, and the largest of its terms."""
-    m1p = _mp_moment(spec, p, 1)
-    m1q = _mp_moment(spec, p - 1, 1)
-    m2p = _mp_moment(spec, p, 2)
-    m2q = _mp_moment(spec, p - 1, 2)
-    bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
-    return bracket, max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
+    bracket, scale, _ = _mp_curvature(spec, p)
+    return bracket, scale
 
 
 def _second_derivative_mp(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> float:
     with mp.workdps(dps):
-        pm = mp.mpf(p)
-        bracket, scale = _mp_bracket(spec, pm)
+        bracket, scale, value = _mp_curvature(spec, mp.mpf(p))
         # residual cancellation below the working precision is noise, and
         # reporting it as a signed value would contradict the closed forms
         if abs(bracket) < mp.mpf(10) ** (8 - dps) * scale:
             return 0.0
-        return float(_mp_lehmer(spec, pm) * bracket)
+        return float(value * bracket)
 
 
 # ---------------------------------------------------------------------------

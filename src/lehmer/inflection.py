@@ -7,7 +7,10 @@ ends. Then clear the cells of a uniform grid over that range that provably
 hold no zero of L'', coarse cells first; evaluate the sign of L'' only at
 the ends of the cells that remain; bracket every sign change; split the
 remaining cells without one at dyadic midpoints, again clearing what can be
-cleared; and refine all brackets by batched bisection.
+cleared; and refine all brackets by section bisection (see _bisect_all): one
+kernel call gives the signs at the next six levels of midpoints of every
+open bracket, and each bracket takes up to six bisection steps from them.
+The steps, and so the midpoints, are those of one kernel call per step.
 
 A cell is cleared by the exponential-sum form of L'' (see _ExpSum): either
 one term outweighs all the others on the whole cell, or the value at its
@@ -66,6 +69,8 @@ _CHUNK_ELEMENTS = 1 << 21      # elements per vectorized kernel chunk
 _TEST_ELEMENTS = 1 << 16       # cells times terms per exclusion chunk
 _PARTIAL_BUDGET = 400_000      # grid points for the post-exhaustion pass
 _MAX_BISECT_ITER = 128
+_SECTION_DEPTH = 6             # bisection steps per kernel call
+_DEAD = ((math.nan, math.nan),) * 2  # the halves below a node the walk never reaches
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,13 @@ def count_bound(n: int) -> CountBound:
 
 
 class _Kernel:
-    """Vectorized sign and log|L''| evaluation over arrays of exponents."""
+    """Vectorized sign and log|L''| evaluation over arrays of exponents.
+
+    numpy's matrix product takes a different BLAS path for a single row, so
+    a point evaluated alone can round differently from the same point in a
+    batch; alone=True gives every point the result of a one-point call.
+    calls and points count what the kernel has evaluated.
+    """
 
     def __init__(self, spec: MeanSpec):
         x = np.asarray(spec.values, dtype=float)
@@ -161,10 +172,14 @@ class _Kernel:
         self.g = lw[self.ii] + lw[self.jj] + np.log(prod[keep])
         self.sl = l[self.ii] + l[self.jj]
         self.n_pairs = int(self.g.shape[0])
+        self.calls = 0
+        self.points = 0
 
-    def __call__(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, ps: np.ndarray, alone: bool = False) -> tuple[np.ndarray, np.ndarray]:
         ps = np.atleast_1d(np.asarray(ps, dtype=float))
         m = ps.shape[0]
+        self.calls += 1
+        self.points += m
         n = self.l.shape[0]
         per_point = max(n * n, self.n_pairs, 1)
         chunk = max(1, _CHUNK_ELEMENTS // per_point)
@@ -172,18 +187,19 @@ class _Kernel:
         logmag = np.empty(m, dtype=float)
         for start in range(0, m, chunk):
             stop = min(start + chunk, m)
-            s, lm = self._eval(ps[start:stop])
+            s, lm = self._eval(ps[start:stop], alone)
             signs[start:stop] = s
             logmag[start:stop] = lm
         return signs, logmag
 
-    def _eval(self, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _eval(self, ps: np.ndarray, alone: bool) -> tuple[np.ndarray, np.ndarray]:
         q = ps[:, None] - 1.0
         b = self.lw[None, :] + q * self.l[None, :]
         shift = b.max(axis=1)
         v = np.exp(b - shift[:, None])
         sv = v.sum(axis=1)
-        d = (v @ self.ldiff_t) / sv[:, None]
+        vl = (v[:, None, :] @ self.ldiff_t)[:, 0, :] if alone else v @ self.ldiff_t
+        d = vl / sv[:, None]
         t = q * self.sl[None, :] + self.g[None, :]
         t_max = t.max(axis=1)
         qsum = (np.exp(t - t_max[:, None]) * (d[:, self.ii] + d[:, self.jj])).sum(axis=1)
@@ -431,7 +447,14 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
-def _collect_brackets(kernel: _Kernel, expsum: _ExpSum, grid: _Grid, warnings: list[str]) -> list[_Bracket]:
+def _collect_brackets(
+    kernel: _Kernel, expsum: _ExpSum, grid: _Grid, warnings: list[str]
+) -> tuple[list[_Bracket], tuple[int, int, int]]:
+    """Brackets of every sign change of L'' on the grid and in its split cells.
+
+    Also returns the counts for the scan's debug line: live grid cells,
+    kernel points on the grid, and split cells left uncleared.
+    """
     cells, tested = _live_cells(grid, expsum)
     known = _sorted_unique(np.concatenate((cells, cells + 1)))
     signs, logmag = kernel(grid.points(known))
@@ -526,53 +549,97 @@ def _collect_brackets(kernel: _Kernel, expsum: _ExpSum, grid: _Grid, warnings: l
     for lo, hi, sign_lo, k in found:
         brackets.append(_Bracket(lo, hi, sign_lo, local_scale(k)))
 
-    _log.debug(
-        "scan half-width %g: %d live grid cells, %d kernel points on the grid, %d split cells left uncleared",
-        grid.half,
-        cells.size,
-        n_points,
-        uncleared,
-    )
     brackets.sort(key=lambda br: br.lo)
-    return brackets
+    return brackets, (cells.size, n_points, uncleared)
+
+
+def _section(lo: float, hi: float, depth: int, tolerance: float) -> list[float]:
+    """Midpoints of the next depth bisection levels of [lo, hi], heap-ordered.
+
+    Node 1 is the midpoint of [lo, hi]; nodes 2i and 2i+1 are those of the
+    left and right halves at node i; node 0 is unused. A node is NaN where
+    the walk stops before it: its interval is within tolerance, or an
+    ancestor's midpoint is stuck at the resolution of the floats.
+    """
+    mids = [math.nan]
+    level = [(lo, hi)]
+    for _ in range(depth):
+        below = []
+        for a, b in level:
+            if b - a > tolerance:  # False for the NaN ends of a dead node
+                m = 0.5 * (a + b)
+                mids.append(m)
+                if a < m < b:
+                    below += ((a, m), (m, b))
+                    continue
+            else:
+                mids.append(math.nan)
+            below += _DEAD
+        level = below
+    return mids
 
 
 def _bisect_all(kernel: _Kernel, brackets: list[_Bracket], tolerance: float) -> np.ndarray:
-    """Refine every bracket by batched bisection; returns the midpoints.
+    """Refine every bracket by section bisection; returns the midpoints.
+
+    Each round evaluates, in one kernel call, the midpoints of the next
+    _SECTION_DEPTH bisection levels of every open bracket (see _section),
+    and each bracket then takes up to that many steps from those signs. The
+    steps are those of plain bisection with one kernel call per step, all
+    open brackets together: stop once hi - lo is within tolerance; collapse
+    onto a midpoint that is stuck at the resolution of the floats or where
+    the sign is exactly zero; at most _MAX_BISECT_ITER steps in all. A step
+    that only one bracket takes reads the sign that a one-point call gives,
+    since that call rounds differently (see _Kernel). So the midpoints are
+    the same, in fewer and fuller calls: numpy dispatch, not the number of
+    points, sets the cost of a call.
 
     The brackets themselves keep their original endpoints: escalation needs
     endpoints whose double-precision signs are trustworthy, and those are
     the grid-scale ones, not the refined pair straddling the root.
     """
-    if not brackets:
-        return np.empty(0)
-    lo = np.array([br.lo for br in brackets])
-    hi = np.array([br.hi for br in brackets])
-    s_lo = np.array([br.sign_lo for br in brackets], dtype=np.int8)
-    for k, br in enumerate(brackets):
-        if br.exact_p is not None:
-            lo[k] = hi[k] = br.exact_p
-    for _ in range(_MAX_BISECT_ITER):
-        active = np.nonzero(hi - lo > tolerance)[0]
-        if active.size == 0:
+    lo = [br.lo if br.exact_p is None else br.exact_p for br in brackets]
+    hi = [br.hi if br.exact_p is None else br.exact_p for br in brackets]
+    steps = 0
+    while steps < _MAX_BISECT_ITER:
+        depth = min(_SECTION_DEPTH, _MAX_BISECT_ITER - steps)
+        walks = [k for k in range(len(brackets)) if hi[k] - lo[k] > tolerance]
+        if not walks:
             break
-        mids = 0.5 * (lo[active] + hi[active])
-        # guard against midpoint degeneracy at the resolution of the floats
-        stuck = (mids <= lo[active]) | (mids >= hi[active])
-        if stuck.any():
-            hi[active[stuck]] = lo[active[stuck]] = mids[stuck]
-            active = active[~stuck]
-            mids = mids[~stuck]
-            if active.size == 0:
-                continue
-        sm, _ = kernel(mids)
-        hit = sm == 0
-        lo_side = sm == s_lo[active]
-        hi_side = ~hit & ~lo_side
-        lo[active[hit]] = hi[active[hit]] = mids[hit]
-        lo[active[lo_side]] = mids[lo_side]
-        hi[active[hi_side]] = mids[hi_side]
-    return 0.5 * (lo + hi)
+        trees = [_section(lo[k], hi[k], depth, tolerance) for k in walks]
+        flat = np.array(trees).ravel()
+        wanted = ~np.isnan(flat)
+        signs = {}  # by alone: the signs at every node, computed when first needed
+        nodes = [1] * len(walks)
+        for _ in range(depth):
+            stepping = []
+            for t, k in enumerate(walks):
+                if hi[k] - lo[k] <= tolerance:
+                    continue
+                m = trees[t][nodes[t]]
+                if m <= lo[k] or m >= hi[k]:
+                    lo[k] = hi[k] = m
+                else:
+                    stepping.append(t)
+            if not stepping:
+                break
+            alone = len(stepping) == 1
+            if alone not in signs:
+                at_nodes = np.zeros(flat.shape[0], dtype=np.int8)
+                at_nodes[wanted] = kernel(flat[wanted], alone=alone)[0]
+                signs[alone] = at_nodes.tolist()
+            for t in stepping:
+                k, node = walks[t], nodes[t]
+                m = trees[t][node]
+                s = signs[alone][(t << depth) + node]
+                if s == 0:
+                    lo[k] = hi[k] = m
+                elif s == brackets[k].sign_lo:
+                    lo[k], nodes[t] = m, 2 * node + 1
+                else:
+                    hi[k], nodes[t] = m, 2 * node
+        steps += depth
+    return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
 
 
 def _bisect_mp(spec: MeanSpec, lo: float, hi: float, tolerance: float) -> float | None:
@@ -611,9 +678,21 @@ def _scan_and_refine(spec: MeanSpec, kernel: _Kernel, half: float, config: ScanC
             f"scan range exhausted at half-width {half:g}; results cover a budget-limited pass only"
         )
         per_unit = min(per_unit, _PARTIAL_BUDGET / (2.0 * half))
-    brackets = _collect_brackets(kernel, _ExpSum(spec), _Grid(half, per_unit), warnings)
-
+    brackets, (live, grid_points, uncleared) = _collect_brackets(kernel, _ExpSum(spec), _Grid(half, per_unit), warnings)
+    calls, points = kernel.calls, kernel.points
     mids = _bisect_all(kernel, brackets, config.refine_tolerance)
+    _log.debug(
+        "scan half-width %g: %d live grid cells, %d kernel points on the grid, %d split cells left uncleared; "
+        "bisection: %d kernel calls, %d points; scan in all: %d kernel calls, %d points",
+        half,
+        live,
+        grid_points,
+        uncleared,
+        kernel.calls - calls,
+        kernel.points - points,
+        kernel.calls,
+        kernel.points,
+    )
     precision_flag = config.precision_mode == "extended"
     sd_mode = config.precision_mode
 
@@ -684,10 +763,17 @@ def _scan_and_refine(spec: MeanSpec, kernel: _Kernel, half: float, config: ScanC
             warnings.append(f"direction sequence is not alternating near p={root.p_star:.6g}")
             break
 
+    bound_j = count_bound(spec.n).j
+    if len(roots) > bound_j:
+        warnings.append(
+            f"{len(roots)} roots exceed the bound J={bound_j} for n={spec.n}; "
+            "the signs of the second derivative are rounding noise at this spacing of the values"
+        )
+
     return InflectionReport(
         roots=tuple(roots),
         parity_ok=len(roots) % 2 == 1,
-        bound_j=count_bound(spec.n).j,
+        bound_j=bound_j,
         scan_range=(-half, half),
         precision_used="extended" if precision_flag else "standard",
         warnings=tuple(warnings),

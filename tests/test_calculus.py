@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from lehmer import (
     tilde_l,
     tilde_l_prime,
 )
+from lehmer.calculus import _EXTENDED_DPS, _mp_lehmer, _second_derivative_mp
 
 # cross-checked at 60 digits
 K_123 = -0.948153180075108
@@ -126,6 +128,39 @@ class TestSecondDerivative:
             d2 = second_derivative(spec, p)
             oracle = fd_second_derivative(spec, p, h=1e-6, dps=40)
             assert abs(d2 - oracle) <= max(1e-5 * abs(oracle), 1e-8), (spec.values, p)
+
+
+def _separate_moments_l2(spec, p, dps=_EXTENDED_DPS):
+    """50-digit L'' from four separately computed log-moments and L."""
+    with mp.workdps(dps):
+        pm = mp.mpf(p)
+
+        def moment(q, k):
+            u = [mp.mpf(w) * mp.power(mp.mpf(v), q) for v, w in zip(spec.values, spec.weights)]
+            logs = [mp.log(mp.mpf(v)) for v in spec.values]
+            return mp.fsum(ui * li**k for ui, li in zip(u, logs)) / mp.fsum(u)
+
+        m1p, m1q = moment(pm, 1), moment(pm - 1, 1)
+        m2p, m2q = moment(pm, 2), moment(pm - 1, 2)
+        bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
+        scale = max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
+        if abs(bracket) < mp.mpf(10) ** (8 - dps) * scale:
+            return 0.0
+        return float(_mp_lehmer(spec, pm) * bracket)
+
+
+class TestExtendedBracket:
+    """The 50-digit path shares its powers and logs and still rounds the same."""
+
+    def test_one_pass_is_bit_identical(self, rng, random_spec):
+        checked = 0
+        for _ in range(40):
+            spec = random_spec(rng, n=int(rng.integers(2, 6)), weighted=bool(rng.random() < 0.4))
+            big = float(rng.choice([-1.0, 1.0]) * rng.uniform(100.0, 1000.0))
+            for p in (1.0, 0.0, float(rng.integers(-20, 21)), float(rng.uniform(-30.0, 30.0)), big):
+                assert _second_derivative_mp(spec, p).hex() == _separate_moments_l2(spec, p).hex(), (spec, p)
+                checked += 1
+        assert checked == 200
 
 
 class TestPairClosedForm:

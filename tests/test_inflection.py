@@ -1,5 +1,6 @@
 """Inflection location: scan, bisection, bounds, closed-form cross-checks."""
 
+import math
 import time
 
 import mpmath as mp
@@ -21,7 +22,17 @@ from lehmer import (
     weighted_n2_inflection,
 )
 from lehmer.calculus import _mp_bracket
-from lehmer.inflection import _ExpSum, _Grid, _live_cells
+from lehmer.inflection import (
+    _MAX_BISECT_ITER,
+    _SECTION_DEPTH,
+    _Bracket,
+    _ExpSum,
+    _Grid,
+    _Kernel,
+    _bisect_all,
+    _collect_brackets,
+    _live_cells,
+)
 from lehmer.search import Cluster
 
 THREE_ROOT_VALUES = [1.0259, 1.0241, 1.0244, 0.96]
@@ -199,6 +210,23 @@ class TestThreeRootInstance:
             assert root.residual <= 1e-12
 
 
+class TestRootCountBound:
+    def test_ulp_spaced_triple_warns_when_roots_exceed_j(self):
+        # a few ulps apart the kernel's signs are rounding noise; the roots
+        # and the parity flag are reported as found, with a warning
+        report = find_inflections(make_spec([2.0, 2.0 + 4.4e-16, 2.0 + 8.9e-16]))
+        assert report.bound_j == 5
+        assert len(report.roots) > report.bound_j
+        assert [w for w in report.warnings if "exceed the bound J=5" in w] == [
+            f"{len(report.roots)} roots exceed the bound J=5 for n=3; "
+            "the signs of the second derivative are rounding noise at this spacing of the values"
+        ]
+
+    def test_no_warning_within_the_bound(self):
+        report = find_inflections(make_spec(THREE_ROOT_VALUES))
+        assert not any("exceed the bound" in w for w in report.warnings)
+
+
 class TestErrorPaths:
     def test_constant_raises(self):
         with pytest.raises(NoInflectionError):
@@ -374,3 +402,127 @@ class TestExclusionSoundness:
         cells, tested = _live_cells(_Grid(8192.0, 8.0), _ExpSum(spec))
         assert 3 <= cells.size <= 200
         assert tested.all()
+
+
+def _stepwise_bisection(kernel, brackets, tolerance):
+    """Plain batched bisection, one kernel call per step: the reference."""
+    if not brackets:
+        return np.empty(0), 0
+    lo = np.array([br.lo for br in brackets])
+    hi = np.array([br.hi for br in brackets])
+    s_lo = np.array([br.sign_lo for br in brackets], dtype=np.int8)
+    for k, br in enumerate(brackets):
+        if br.exact_p is not None:
+            lo[k] = hi[k] = br.exact_p
+    calls = 0
+    for _ in range(_MAX_BISECT_ITER):
+        active = np.nonzero(hi - lo > tolerance)[0]
+        if active.size == 0:
+            break
+        mids = 0.5 * (lo[active] + hi[active])
+        stuck = (mids <= lo[active]) | (mids >= hi[active])
+        hi[active[stuck]] = lo[active[stuck]] = mids[stuck]
+        active, mids = active[~stuck], mids[~stuck]
+        if active.size == 0:
+            continue
+        sm, _ = kernel(mids)
+        calls += 1
+        hit = sm == 0
+        lo_side = sm == s_lo[active]
+        lo[active[hit]] = hi[active[hit]] = mids[hit]
+        lo[active[lo_side]] = mids[lo_side]
+        hi[active[~hit & ~lo_side]] = mids[~hit & ~lo_side]
+    return 0.5 * (lo + hi), calls
+
+
+class TestSectionBisection:
+    """Section bisection gives the midpoints of one kernel call per step."""
+
+    @staticmethod
+    def _scan_brackets(spec):
+        kernel = _Kernel(spec)
+        try:
+            half = find_inflections(spec).scan_range[1]
+        except RangeExhaustedError as exc:
+            half = exc.report.scan_range[1]
+        brackets, _ = _collect_brackets(kernel, _ExpSum(spec), _Grid(half, 8.0), [])
+        return kernel, brackets
+
+    @staticmethod
+    def _same(kernel, brackets, tolerance):
+        expected, step_calls = _stepwise_bisection(kernel, brackets, tolerance)
+        before = kernel.calls
+        got = _bisect_all(kernel, brackets, tolerance)
+        assert np.array_equal(got, expected), (got, expected)
+        return kernel.calls - before, step_calls
+
+    def test_scan_brackets_of_many_specs(self, rng):
+        cluster = Cluster()
+        specs = [make_spec(THREE_ROOT_VALUES), make_spec([2.0, 2.0 + 4.4e-16, 2.0 + 8.9e-16])]
+        # values a few ulps apart: many brackets, and signs that are rounding
+        # noise, where a one-point call and a batched one can disagree
+        specs += [make_spec([1.0 + k * g * 2.0**-52 for k in range(n)]) for n in (4, 5) for g in (1, 2, 3)]
+        for _ in range(12):
+            for kind in ("log_uniform", "weighted", "cluster", "near_equal", "wide"):
+                n = 4 if kind == "cluster" else int(rng.integers(2, 6))
+                if kind == "cluster":
+                    values = cluster.draw(rng, n)
+                elif kind == "near_equal":
+                    values = 1.0 + rng.uniform(0.0, 1e-6, n)
+                elif kind == "wide":
+                    values = np.exp(rng.uniform(-700.0, 700.0, n))
+                else:
+                    values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+                weights = rng.uniform(0.5, 2.0, n).tolist() if kind == "weighted" else None
+                specs.append(make_spec(values.tolist(), weights))
+        several = 0
+        for spec in specs:
+            kernel, brackets = self._scan_brackets(spec)
+            several += len(brackets) > 1
+            calls, step_calls = self._same(kernel, brackets, 1e-9)
+            if step_calls:
+                assert calls <= 2 * math.ceil(step_calls / _SECTION_DEPTH)
+        assert several >= 2  # the canonical four values and the ulp-spaced triple
+
+    def test_exact_zeros(self):
+        # the unit-pair kernel is exactly zero at p=1, the first midpoint of [0.5, 1.5]
+        kernel = _Kernel(make_spec([0.5, 2.5]))
+        brackets = [
+            _Bracket(0.875, 1.125, 1, 0.0, exact_p=1.0),
+            _Bracket(0.5, 1.5, 1, 0.0),
+            _Bracket(0.25, 0.375, 1, 0.0),
+        ]
+        self._same(kernel, brackets, 1e-9)
+        assert _bisect_all(kernel, brackets[:2], 1e-9).tolist() == [1.0, 1.0]
+
+    def test_brackets_at_float_resolution_get_stuck(self):
+        spec = make_spec([1.0, 2.0, 3.0])
+        kernel = _Kernel(spec)
+        root = find_inflections(spec).roots[0].p_star
+        brackets = [
+            _Bracket(root, math.nextafter(root, 2.0), 1, 0.0),
+            _Bracket(math.nextafter(root, -2.0), math.nextafter(math.nextafter(root, 2.0), 2.0), 1, 0.0),
+            _Bracket(root - 0.5, root + 0.5, 1, 0.0),
+        ]
+        self._same(kernel, brackets, 0.0)
+        self._same(kernel, brackets[:1], 0.0)
+
+    def test_step_cap_cuts_a_tiny_tolerance_short(self):
+        # halving [-1e30, 1e30] down to the root near 0.71 takes about 150
+        # steps, more than the cap allows
+        spec = make_spec([1.0, 2.0, 3.0])
+        kernel = _Kernel(spec)
+        brackets = [_Bracket(-1e30, 1e30, 1, 0.0), _Bracket(0.5, 1.0, 1, 0.0)]
+        got = _bisect_all(kernel, brackets, 1e-300)
+        expected, step_calls = _stepwise_bisection(kernel, brackets, 1e-300)
+        assert step_calls == _MAX_BISECT_ITER
+        assert np.array_equal(got, expected)
+
+    def test_kernel_alone_matches_one_point_calls(self, rng):
+        for n in (2, 3, 4, 5):
+            kernel = _Kernel(make_spec(np.exp(rng.uniform(-3.0, 3.0, n)).tolist()))
+            ps = rng.uniform(-50.0, 50.0, 40)
+            alone = kernel(ps, alone=True)
+            for k in range(ps.size):
+                one = kernel(ps[k : k + 1])
+                assert alone[0][k] == one[0][0] and alone[1][k] == one[1][0]
