@@ -14,9 +14,16 @@ The first-derivative difference is evaluated through an equivalent pairwise
 form whose terms are all non-negative, so the result can never round to a
 negative number. The second-derivative bracket is the one place where digits
 cancel; when more than ten decimal digits are lost the computation escalates
-to 50-digit arithmetic automatically (precision "auto", the default). The
-50-digit path computes the powers w_i x_i^p and w_i x_i^(p-1) and the logs
-once and shares them among the four moments and L itself.
+to 50-digit arithmetic automatically (precision "auto", the default).
+
+Each exponent gets one table of powers (core._powers: the shifted terms
+w_i x_i^p, their largest and their exact sum), and the tables of p and p-1
+serve L, m_1, m_2 and L' alike. The 50-digit path likewise computes the
+powers w_i x_i^p and w_i x_i^(p-1) once per call and shares them among the
+four moments and L; the values, weights, logs and squared logs it needs at
+the working precision are kept for the last few specs, so a bisection or a
+finite-difference oracle that asks about one spec many times converts and
+takes logs only once. Both paths round exactly as separate passes would.
 
 For two and three values the module also provides the closed forms of L''
 and, for n=3, the constant K, the bracketed factor tilde_l whose single root
@@ -26,6 +33,7 @@ that certify tilde_l is decreasing.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,7 +42,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .core import MeanSpec, _lehmer_value
+from .core import MeanSpec, _lehmer_value, _powers
 from .errors import UsageError
 
 
@@ -75,22 +83,18 @@ class LogMoment:
     def compute(cls, spec: MeanSpec, p: float, k: int) -> "LogMoment":
         if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= 2:
             raise UsageError(f"moment order must be an integer in 0..2, got {k!r}")
-        return cls(p=float(p), k=k, value=_moment(spec, float(p), k))
+        p = float(p)
+        value = 1.0 if k == 0 else _table_moment(spec, _powers(spec, p), k)
+        return cls(p=p, k=k, value=value)
 
     def __float__(self) -> float:
         return self.value
 
 
-def _moment(spec: MeanSpec, p: float, k: int) -> float:
-    if k == 0:
-        return 1.0
-    l = spec.log_values
-    lw = spec.log_weights
-    a = [lwi + p * li for lwi, li in zip(lw, l)]
-    m = max(a)
-    u = [exp(ai - m) for ai in a]
-    s = fsum(u)
-    return fsum(ui * li**k for ui, li in zip(u, l)) / s
+def _table_moment(spec: MeanSpec, table: tuple, k: int) -> float:
+    """m_k at the exponent of table = _powers(spec, p), for k = 1 or 2."""
+    _, _, u, s = table
+    return fsum(ui * li**k for ui, li in zip(u, spec.log_values)) / s
 
 
 def log_moment(spec: MeanSpec, p: float, k: int) -> float:
@@ -120,8 +124,8 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
     l = spec.log_values
     lw = spec.log_weights
     n = spec.n
-    mu, su = _shifted(lw, l, p)
-    mv, sv = _shifted(lw, l, p - 1.0)
+    tp = _powers(spec, p)
+    tq = _powers(spec, p - 1.0)
     ts = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -132,20 +136,16 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
     if not ts:
         return 0.0
     t_max = max(ts)
-    shift = t_max - mu - mv
+    a_p, top_p, _, su = tp
+    a_q, top_q, _, sv = tq
+    shift = t_max - a_p[top_p] - a_q[top_q]
     s = fsum(exp(t - t_max) for t in ts)
     delta = exp(shift) * s / (su * sv)
-    value = _lehmer_value(spec, p)
+    value = _lehmer_value(spec, p, tp, tq)
     if delta < sys.float_info.min:
         # a subnormal L'/L has lost digits: put L into the exponent instead
         return exp(shift + log(value)) * s / (su * sv)
     return value * delta
-
-
-def _shifted(lw, l, p: float) -> tuple[float, float]:
-    a = [lwi + p * li for lwi, li in zip(lw, l)]
-    m = max(a)
-    return m, fsum(exp(ai - m) for ai in a)
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +168,50 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
         return 0.0
     if precision == "extended":
         return _second_derivative_mp(spec, p)
-    m1p = _moment(spec, p, 1)
-    m1q = _moment(spec, p - 1.0, 1)
-    m2p = _moment(spec, p, 2)
-    m2q = _moment(spec, p - 1.0, 2)
+    tp = _powers(spec, p)
+    tq = _powers(spec, p - 1.0)
+    m1p = _table_moment(spec, tp, 1)
+    m1q = _table_moment(spec, tq, 1)
+    m2p = _table_moment(spec, tp, 2)
+    m2q = _table_moment(spec, tq, 2)
     terms = (m2p, -m2q, -2.0 * m1q * m1p, 2.0 * m1q * m1q)
     bracket = fsum(terms)
     if precision == "auto":
         scale = max(abs(t) for t in terms)
         if scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
             return _second_derivative_mp(spec, p)
-    return _lehmer_value(spec, p) * bracket
+    return _lehmer_value(spec, p, tp, tq) * bracket
 
 
-def _mp_terms(spec: MeanSpec, p):
+@functools.lru_cache(maxsize=16)
+def _mp_constants_at(
+    values: tuple[float, ...], weights: tuple[float, ...], prec: int, rnd: str
+) -> tuple[tuple[mp.mpf, ...], ...]:
+    """The mpf values, weights, logs and squared logs of one spec.
+
+    prec and rnd are the working precision and rounding in force, which these
+    are computed at; they are part of the key so that a change of precision
+    gets its own entry.
+    """
+    xs = tuple(mp.mpf(v) for v in values)
+    logs = tuple(mp.log(x) for x in xs)
+    return xs, tuple(mp.mpf(w) for w in weights), logs, tuple(li**2 for li in logs)
+
+
+def _mp_constants(spec: MeanSpec) -> tuple[tuple[mp.mpf, ...], ...]:
+    """(values, weights, logs, squared logs) of spec at the current working precision.
+
+    Kept for the last 16 specs only: a scan, a 50-digit bisection or a
+    finite-difference oracle asks for the same spec many times in a row.
+    """
+    prec, rnd = mp.mp._prec_rounding  # what mpf arithmetic itself reads
+    return _mp_constants_at(spec.values, spec.weights, prec, rnd)
+
+
+def _mp_terms(spec: MeanSpec, p) -> list[mp.mpf]:
     """Weights w_i x_i^p as mpf values at the current working precision."""
-    return [mp.mpf(w) * mp.power(mp.mpf(v), p) for v, w in zip(spec.values, spec.weights)]
+    xs, ws, _, _ = _mp_constants(spec)
+    return [w * mp.power(x, p) for x, w in zip(xs, ws)]
 
 
 def _mp_lehmer(spec: MeanSpec, p) -> mp.mpf:
@@ -195,15 +223,14 @@ def _mp_lehmer(spec: MeanSpec, p) -> mp.mpf:
 def _mp_curvature(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
     """The bracket L''/L, the largest of its terms, and L, in one pass.
 
-    The powers w_i x_i^p and w_i x_i^(p-1), the logs and their squares are
-    each computed once and shared by the four moments and by L.
+    The powers w_i x_i^p and w_i x_i^(p-1) are each computed once and shared,
+    with the cached logs and their squares, by the four moments and by L.
     """
     u_p = _mp_terms(spec, p)
     u_q = _mp_terms(spec, p - 1)
     s_p = mp.fsum(u_p)
     s_q = mp.fsum(u_q)
-    logs = [mp.log(mp.mpf(v)) for v in spec.values]
-    squares = [li**2 for li in logs]
+    _, _, logs, squares = _mp_constants(spec)
     m1p = mp.fsum(ui * li for ui, li in zip(u_p, logs)) / s_p
     m1q = mp.fsum(ui * li for ui, li in zip(u_q, logs)) / s_q
     m2p = mp.fsum(ui * li for ui, li in zip(u_p, squares)) / s_p

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -226,7 +227,13 @@ def _spec_inputs(spec: MeanSpec) -> dict:
     return {"values": list(spec.values), "weights": list(spec.weights)}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call and reused after.
+
+    parse_args keeps no state between calls, so one parser serves every
+    main() in the process; it is not built at import.
+    """
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
     common.add_argument("--precision", choices=("standard", "extended", "auto"), default="auto",

@@ -147,30 +147,42 @@ def lehmer(spec: MeanSpec, p: float) -> MeanValue:
     return MeanValue(p=p, value=value)
 
 
-def _lehmer_value(spec: MeanSpec, p: float) -> float:
+def _powers(spec: MeanSpec, p: float) -> tuple[list[float], int, list[float], float]:
+    """The shifted terms of sum_i w_i x_i^p for one exponent p: (a, top, u, s).
+
+    a[i] = log w_i + p log x_i, top is the index of the first largest a[i],
+    u[i] = exp(a[i] - a[top]) and s = fsum(u), so the sum is exp(a[top]) * s.
+    L, the log-moments and both derivatives are all read from the tables of
+    p and p - 1. A plain tuple: building a named one twice per call would
+    cost L more than sharing the table saves.
+    """
+    a = [lwi + p * li for lwi, li in zip(spec.log_weights, spec.log_values)]
+    shift = max(a)
+    u = [math.exp(ai - shift) for ai in a]
+    return a, a.index(shift), u, math.fsum(u)
+
+
+def _lehmer_value(spec: MeanSpec, p: float, num: tuple | None = None, den: tuple | None = None) -> float:
+    """L(p); num and den, when given, are _powers(spec, p) and _powers(spec, p - 1.0)."""
     lo = min(spec.values)
     hi = max(spec.values)
     if lo == hi:
         return lo
     l = spec.log_values
     lw = spec.log_weights
-    num = [lwi + p * li for lwi, li in zip(lw, l)]
-    den = [lwi + (p - 1.0) * li for lwi, li in zip(lw, l)]
-    ia = max(range(len(num)), key=num.__getitem__)
-    ib = max(range(len(den)), key=den.__getitem__)
-    sa = math.fsum(math.exp(a - num[ia]) for a in num)
+    num_a, ia, _, sa = _powers(spec, p) if num is None else num
     # the largest term adds exp(0) = 1 and none is negative, so sb >= 1
-    sb = math.fsum(math.exp(b - den[ib]) for b in den)
+    den_a, ib, _, sb = _powers(spec, p - 1.0) if den is None else den
     if ia == ib and sa == 1.0 and sb == 1.0:
         # one value dominates both sums: the mean is that value to the last ulp
         return spec.values[ia]
     if ia == ib:
         # the weight and p-scaled log cancel algebraically
         shift = l[ia]
-    elif max(abs(num[ia]), abs(den[ib])) < 1e3:
-        shift = num[ia] - den[ib]
+    elif max(abs(num_a[ia]), abs(den_a[ib])) < 1e3:
+        shift = num_a[ia] - den_a[ib]
     else:
-        # num[ia] - den[ib] would cancel two O(|p|) numbers and lose absolute
+        # num_a[ia] - den_a[ib] would cancel two O(|p|) numbers and lose absolute
         # accuracy; in this branch each addend is bounded by the log spreads
         shift = (lw[ia] - lw[ib]) + p * (l[ia] - l[ib]) + l[ib]
     # shift lies in [log lo, log hi], so this exp cannot overflow

@@ -1,6 +1,7 @@
 """Derivatives in the exponent: log-moments, closed forms, inequalities."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +23,15 @@ from lehmer import (
     tilde_l,
     tilde_l_prime,
 )
-from lehmer.calculus import _EXTENDED_DPS, _mp_lehmer, _second_derivative_mp
+from lehmer.calculus import (
+    _CANCELLATION_LIMIT,
+    _EXTENDED_DPS,
+    _mp_constants,
+    _mp_lehmer,
+    _mp_terms,
+    _second_derivative_mp,
+)
+from lehmer.core import _lehmer_value
 
 # cross-checked at 60 digits
 K_123 = -0.948153180075108
@@ -161,6 +170,189 @@ class TestExtendedBracket:
                 assert _second_derivative_mp(spec, p).hex() == _separate_moments_l2(spec, p).hex(), (spec, p)
                 checked += 1
         assert checked == 200
+
+
+# Separate-pass reference for the double path: each helper recomputes its
+# own shifted terms, as the calculus layer did before it shared one table of
+# powers per exponent. The shared table must round exactly the same.
+
+
+def _ref_moment(spec, p, k):
+    if k == 0:
+        return 1.0
+    l = spec.log_values
+    a = [lwi + p * li for lwi, li in zip(spec.log_weights, l)]
+    m = max(a)
+    u = [math.exp(ai - m) for ai in a]
+    return math.fsum(ui * li**k for ui, li in zip(u, l)) / math.fsum(u)
+
+
+def _ref_shifted(spec, p):
+    a = [lwi + p * li for lwi, li in zip(spec.log_weights, spec.log_values)]
+    m = max(a)
+    return m, math.fsum(math.exp(ai - m) for ai in a)
+
+
+def _ref_lehmer(spec, p):
+    lo, hi = min(spec.values), max(spec.values)
+    if lo == hi:
+        return lo
+    l, lw = spec.log_values, spec.log_weights
+    num = [lwi + p * li for lwi, li in zip(lw, l)]
+    den = [lwi + (p - 1.0) * li for lwi, li in zip(lw, l)]
+    ia = max(range(len(num)), key=num.__getitem__)
+    ib = max(range(len(den)), key=den.__getitem__)
+    sa = math.fsum(math.exp(a - num[ia]) for a in num)
+    sb = math.fsum(math.exp(b - den[ib]) for b in den)
+    if ia == ib and sa == 1.0 and sb == 1.0:
+        return spec.values[ia]
+    if ia == ib:
+        shift = l[ia]
+    elif max(abs(num[ia]), abs(den[ib])) < 1e3:
+        shift = num[ia] - den[ib]
+    else:
+        shift = (lw[ia] - lw[ib]) + p * (l[ia] - l[ib]) + l[ib]
+    return min(max(math.exp(shift) * (sa / sb), lo), hi)
+
+
+def _ref_first_derivative(spec, p):
+    if spec.is_constant:
+        return 0.0
+    x, l, lw = spec.values, spec.log_values, spec.log_weights
+    mu, su = _ref_shifted(spec, p)
+    mv, sv = _ref_shifted(spec, p - 1.0)
+    ts = []
+    for i in range(spec.n):
+        for j in range(i + 1, spec.n):
+            prod = (x[i] - x[j]) * (l[i] - l[j])
+            if prod > 0.0:
+                ts.append(lw[i] + lw[j] + (p - 1.0) * (l[i] + l[j]) + math.log(prod))
+    if not ts:
+        return 0.0
+    t_max = max(ts)
+    shift = t_max - mu - mv
+    s = math.fsum(math.exp(t - t_max) for t in ts)
+    delta = math.exp(shift) * s / (su * sv)
+    value = _ref_lehmer(spec, p)
+    if delta < sys.float_info.min:
+        return math.exp(shift + math.log(value)) * s / (su * sv)
+    return value * delta
+
+
+def _ref_second_derivative(spec, p, precision):
+    if spec.is_constant:
+        return 0.0
+    m1p, m1q = _ref_moment(spec, p, 1), _ref_moment(spec, p - 1.0, 1)
+    m2p, m2q = _ref_moment(spec, p, 2), _ref_moment(spec, p - 1.0, 2)
+    terms = (m2p, -m2q, -2.0 * m1q * m1p, 2.0 * m1q * m1q)
+    bracket = math.fsum(terms)
+    if precision == "auto":
+        scale = max(abs(t) for t in terms)
+        if scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
+            return _second_derivative_mp(spec, p)
+    return _ref_lehmer(spec, p) * bracket
+
+
+def _one_pass_specs(rng):
+    """Unit and weighted specs, n = 2..6: ordinary, wide, near-equal, with duplicates."""
+    specs = []
+    for k in range(60):
+        n = 2 + k % 5
+        kind = (k // 5) % 4
+        if kind == 0:
+            values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+        elif kind == 1:
+            values = np.exp(rng.uniform(-300.0, 300.0, n))
+        elif kind == 2:
+            values = 1.0 + 1e-6 * rng.standard_normal(n)
+        else:
+            values = np.exp(rng.uniform(-5.0, 5.0, n))
+            values[-1] = values[0]
+        weights = np.exp(rng.uniform(-2.0, 2.0, n)).tolist() if k % 2 else None
+        specs.append(make_spec(values.tolist(), weights))
+    return specs
+
+
+def _one_pass_exponents(rng):
+    return (
+        0.0,
+        1.0,
+        float(rng.integers(-40, 41)),
+        float(rng.integers(-81, 82)) / 2.0,
+        float(rng.uniform(-30.0, 30.0)),
+        float(rng.choice([-1.0, 1.0]) * rng.uniform(500.0, 2000.0)),
+        float(rng.choice([-2000.0, 2000.0])),
+    )
+
+
+class TestOnePassDoublePath:
+    """L, L' and L'' from one table of powers per exponent round exactly as
+    the separate passes did."""
+
+    def test_bit_identical_to_separate_passes(self, rng):
+        checked = 0
+        for spec in _one_pass_specs(rng):
+            for p in _one_pass_exponents(rng):
+                assert _lehmer_value(spec, p).hex() == _ref_lehmer(spec, p).hex(), (spec, p)
+                assert first_derivative(spec, p).hex() == _ref_first_derivative(spec, p).hex(), (spec, p)
+                for precision in ("standard", "auto"):
+                    got = second_derivative(spec, p, precision=precision)
+                    want = _ref_second_derivative(spec, p, precision)
+                    assert got.hex() == want.hex(), (spec, p, precision)
+                for k in (1, 2):
+                    assert log_moment(spec, p, k).hex() == _ref_moment(spec, p, k).hex(), (spec, p, k)
+                checked += 1
+        assert checked == 420
+
+
+def _values_from_tiny_to_huge(rng):
+    return [1e-300, 1e300, 1.0] + np.exp(rng.uniform(-690.0, 690.0, 5)).tolist()
+
+
+class TestCachedPowers:
+    """The 50-digit powers read cached values and logs and still equal mp.power."""
+
+    EXPONENTS = ("0", "1", "-1", "7", "-13", "0.5", "-2.5", "41.5", "0.37", "-3.1", "1000", "-1000.5",
+                 "1234.567", "-2000.25", "1e-9")
+
+    @staticmethod
+    def _direct(spec, p):
+        return [mp.mpf(w) * mp.power(mp.mpf(v), p) for v, w in zip(spec.values, spec.weights)]
+
+    def test_equal_to_mp_power(self, rng):
+        spec = make_spec(_values_from_tiny_to_huge(rng), np.exp(rng.uniform(-3.0, 3.0, 8)).tolist())
+        # alternate the precision between calls: each call must use the constants of its own
+        for text in self.EXPONENTS:
+            for dps in (40, 50, 60, 50):
+                with mp.workdps(dps):
+                    p = mp.mpf(text)
+                    assert repr(_mp_terms(spec, p)) == repr(self._direct(spec, p)), (text, dps)
+                    assert repr(_mp_terms(spec, p - 1)) == repr(self._direct(spec, p - 1)), (text, dps)
+
+    def test_keyed_on_precision(self):
+        spec = make_spec([0.3, 7.0, 1e-300])
+        held = {}
+        for dps in (40, 60, 50, 40):
+            with mp.workdps(dps):
+                const = held.setdefault(dps, _mp_constants(spec))
+                assert _mp_constants(spec) is const
+                _, _, cached_logs, cached_squares = const
+                logs = [mp.log(mp.mpf(v)) for v in spec.values]
+                assert repr(cached_logs) == repr(tuple(logs)), dps
+                assert repr(cached_squares) == repr(tuple(li**2 for li in logs)), dps
+        assert held[40][2][0] != held[60][2][0]
+
+    def test_evicted_spec_gives_the_same_results(self, rng, random_spec):
+        spec = make_spec(_values_from_tiny_to_huge(rng))
+        p = mp.mpf("0.37")
+        with mp.workdps(50):
+            first = repr(_mp_terms(spec, p)), repr(_mp_lehmer(spec, p))
+            held = _mp_constants(spec)
+            for _ in range(20):
+                _mp_terms(random_spec(rng), p)
+            assert _mp_constants(spec) is not held
+            assert (repr(_mp_terms(spec, p)), repr(_mp_lehmer(spec, p))) == first
+            assert first[0] == repr(self._direct(spec, p))
 
 
 class TestPairClosedForm:
