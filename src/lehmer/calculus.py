@@ -13,8 +13,21 @@ derivatives are
 The first-derivative difference is evaluated through an equivalent pairwise
 form whose terms are all non-negative, so the result can never round to a
 negative number. The second-derivative bracket is the one place where digits
-cancel; when more than ten decimal digits are lost the computation escalates
-to 50-digit arithmetic automatically (precision "auto", the default).
+cancel, and it cancels at every large |p|. Where it loses more than ten
+decimal digits, precision "auto" (the default) evaluates L'' from the
+pairwise form that the scan's sign kernel uses,
+
+    L'' = sum_{i<j} w_i w_j (x_i x_j)^(p-1) (x_i - x_j) log(x_i/x_j) (d_i + d_j)
+          / (sum_k w_k x_k^(p-1))^2,   d_i = log x_i - m_1(p-1),
+
+taken from the ratios log(x_i/x_k) so that values a few ulps apart keep
+their digits (see _pairwise_second_derivative). That sum cancels near a root
+of L''. Only where it too loses more than ten digits, measured against the
+rounding each of its terms can carry, does the computation escalate to
+50-digit arithmetic; a 50-digit bracket that cancels to noise in turn gives
+the pairwise value where that keeps ten digits, and 0.0 only where it does
+not. The p-independent constants of the pairwise terms are kept per spec
+(MeanSpec.pair_table) and shared with L'.
 
 Each exponent gets one table of powers (core._powers: the shifted terms
 w_i x_i^p, their largest and their exact sum), and the tables of p and p-1
@@ -120,21 +133,12 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
     p = float(p)
     if spec.is_constant:
         return 0.0
-    x = spec.values
-    l = spec.log_values
-    lw = spec.log_weights
-    n = spec.n
-    tp = _powers(spec, p)
-    tq = _powers(spec, p - 1.0)
-    ts = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod = (x[i] - x[j]) * (l[i] - l[j])
-            if prod <= 0.0:
-                continue  # equal values, or logs collide at working precision
-            ts.append(lw[i] + lw[j] + (p - 1.0) * (l[i] + l[j]) + log(prod))
+    q = p - 1.0
+    ts = [g + q * sl + lp for _, _, g, sl, lp, _ in spec.pair_table if lp is not None]
     if not ts:
         return 0.0
+    tp = _powers(spec, p)
+    tq = _powers(spec, q)
     t_max = max(ts)
     a_p, top_p, _, su = tp
     a_q, top_q, _, sv = tq
@@ -157,9 +161,13 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
 
     precision:
         "standard"  double precision only
-        "extended"  always recompute the bracket at 50 significant digits
-        "auto"      escalate only when the double bracket has lost more than
-                    ten decimal digits to cancellation (default)
+        "extended"  the bracket at 50 significant digits; where even those
+                    cancel to noise, the pairwise double form of the module
+                    docstring if it keeps ten digits, else 0.0
+        "auto"      the double bracket while it keeps ten decimal digits;
+                    else the pairwise double form while that keeps ten;
+                    else the 50-digit bracket while that keeps its own
+                    floor; else 0.0 (default)
     """
     p = float(p)
     if precision not in ("standard", "extended", "auto"):
@@ -167,7 +175,10 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
     if spec.is_constant:
         return 0.0
     if precision == "extended":
-        return _second_derivative_mp(spec, p)
+        value = _second_derivative_mp(spec, p)
+        if value is None:
+            value = _pairwise_second_derivative(spec, p)
+        return 0.0 if value is None else value
     tp = _powers(spec, p)
     tq = _powers(spec, p - 1.0)
     m1p = _table_moment(spec, tp, 1)
@@ -179,8 +190,66 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
     if precision == "auto":
         scale = max(abs(t) for t in terms)
         if scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
-            return _second_derivative_mp(spec, p)
+            value = _pairwise_second_derivative(spec, p)
+            if value is None:
+                value = _second_derivative_mp(spec, p)
+            # below the 50-digit floor the value is noise: reporting it
+            # signed would contradict the closed forms
+            return 0.0 if value is None else value
     return _lehmer_value(spec, p, tp, tq) * bracket
+
+
+def _pairwise_second_derivative(spec: MeanSpec, p: float) -> float | None:
+    """L''(p) from the pairwise form, or None where it keeps under ten digits.
+
+    With r_ik = log(x_i / x_k) (MeanSpec.log_ratios) and v_k = w_k x_k^(p-1)
+    over the largest of them, taken as exp((p-1) r_k,top + log w_k - log w_top),
+
+        L''(p) = sum_{i<j} v_i v_j (x_i - x_j) r_ij N_ij / (sum_k v_k)^3
+        N_ij   = r_ij (v_j - v_i) + sum_{k != i,j} v_k (r_ik + r_jk)
+
+    where N_ij / sum_k v_k is the d_i + d_j of the module docstring. v_j - v_i
+    is the larger of the two times expm1 of minus |log(v_j / v_i)|, with
+    log(v_j / v_i) = (p-1) r_ji + log w_j - log w_i, so values a few ulps
+    apart lose nothing to it, and no exponent is as large as (p-1) log x_k.
+    The sum cancels near a root of L''. Its size is the same sum with every
+    term replaced by the rounding it can carry: an exponent e rounds to
+    about |e| ulps, and so does the v_k taken from it. Neither the largest
+    term nor the |d_i| would be a sound measure, since the d_i themselves
+    cancel.
+    """
+    pairs = spec.pair_table
+    if not pairs:
+        return None
+    q = p - 1.0
+    n, r, lw = spec.n, spec.log_ratios, spec.log_weights
+    top = max(range(n), key=lambda k: q * r[k][0] + lw[k])
+    exps = [q * r[k][top] + (lw[k] - lw[top]) for k in range(n)]
+    v = [exp(e) for e in exps]
+    ulps = [1.0 + abs(q * r[k][top]) + abs(lw[k]) + abs(lw[top]) for k in range(n)]
+    ts, sums, sizes = [], [], []
+    for i, j, _, _, _, lr in pairs:
+        qr = q * r[j][i]
+        gap = qr + (lw[j] - lw[i])  # log(v_j / v_i)
+        big, small = (i, j) if gap <= 0.0 else (j, i)
+        diff = math.copysign(v[big] * math.expm1(-abs(gap)), gap)  # v_j - v_i
+        others = [k for k in range(n) if k != i and k != j]
+        sums.append(fsum([r[i][j] * diff] + [v[k] * r[i][k] for k in others] + [v[k] * r[j][k] for k in others]))
+        sizes.append(
+            abs(r[i][j]) * (abs(diff) * (ulps[big] + 1.0) + v[small] * (abs(qr) + abs(lw[i]) + abs(lw[j])))
+            + sum(v[k] * ulps[k] * (abs(r[i][k]) + abs(r[j][k])) for k in others)
+        )
+        ts.append(exps[i] + exps[j] + lr)
+    t_max = max(ts)
+    e = [exp(t - t_max) for t in ts]
+    s = fsum(ek * sk for ek, sk in zip(e, sums))
+    size = fsum(ek * mk for ek, mk in zip(e, sizes))
+    if abs(s) <= _CANCELLATION_LIMIT * size:
+        return None
+    try:
+        return math.copysign(exp(t_max + log(abs(s)) - 3.0 * log(fsum(v))), s)
+    except OverflowError:  # |L''| beyond the largest double, as L * bracket would give
+        return math.copysign(math.inf, s)
 
 
 @functools.lru_cache(maxsize=16)
@@ -246,13 +315,12 @@ def _mp_bracket(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf]:
     return bracket, scale
 
 
-def _second_derivative_mp(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> float:
+def _second_derivative_mp(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> float | None:
+    """L''(p) from the bracket at dps digits, or None where it cancels below them."""
     with mp.workdps(dps):
         bracket, scale, value = _mp_curvature(spec, mp.mpf(p))
-        # residual cancellation below the working precision is noise, and
-        # reporting it as a signed value would contradict the closed forms
         if abs(bracket) < mp.mpf(10) ** (8 - dps) * scale:
-            return 0.0
+            return None
         return float(value * bracket)
 
 

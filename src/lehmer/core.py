@@ -14,6 +14,7 @@ p goes to -inf and +inf respectively.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -31,6 +32,16 @@ __all__ = [
     "scale_spec",
     "merge_equal_values",
 ]
+
+
+def _log_ratio(xi: float, xk: float, li: float, lk: float) -> float:
+    """log(xi / xk) from the values and their logs li, lk; see MeanSpec.log_ratios."""
+    if 0.5 * xk <= xi <= 2.0 * xk:
+        return math.log1p((xi - xk) / xk)
+    ratio = xi / xk
+    if sys.float_info.min <= ratio < math.inf:
+        return math.log(ratio)
+    return li - lk
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,42 @@ class MeanSpec:
     @cached_property
     def log_weights(self) -> tuple[float, ...]:
         return tuple(math.log(w) for w in self.weights)
+
+    @cached_property
+    def log_ratios(self) -> tuple[tuple[float, ...], ...]:
+        """log(x_i / x_k) for every i and k, each to a few ulps of itself.
+
+        Where x_k/2 <= x_i <= 2 x_k the difference x_i - x_k is exact, and
+        log1p of it over x_k keeps the digits that log x_i - log x_k loses
+        for values a few ulps apart. Elsewhere |log(x_i / x_k)| > log 2, so
+        the log of the rounded quotient is accurate; where that quotient
+        leaves the normal range, |log(x_i / x_k)| > 708 and the difference
+        of the logs is.
+        """
+        x, l = self.values, self.log_values
+        return tuple(tuple(_log_ratio(xi, xk, li, lk) for xk, lk in zip(x, l)) for xi, li in zip(x, l))
+
+    @cached_property
+    def pair_table(self) -> tuple[tuple[int, int, float, float, float | None, float], ...]:
+        """(i, j, lw_i + lw_j, l_i + l_j, lp, lr) for every i < j with x_i != x_j.
+
+        The p-independent constants of the pairwise forms of L' and L''.
+        lp = log((x_i - x_j)(l_i - l_j)) from the logs themselves, as L' and
+        the scan's kernel take it; None where that product is not positive
+        (the logs collide at working precision). lr is the same logarithm
+        with log(x_i / x_j) from log_ratios, for the pairwise L''.
+        """
+        x, l, lw, ratios = self.values, self.log_values, self.log_weights, self.log_ratios
+        table = []
+        for i in range(len(x)):
+            for j in range(i + 1, len(x)):
+                if x[i] == x[j]:
+                    continue
+                prod = (x[i] - x[j]) * (l[i] - l[j])
+                lp = math.log(prod) if prod > 0.0 else None
+                lr = math.log(abs(x[i] - x[j])) + math.log(abs(ratios[i][j]))
+                table.append((i, j, lw[i] + lw[j], l[i] + l[j], lp, lr))
+        return tuple(table)
 
     @property
     def is_constant(self) -> bool:

@@ -11,6 +11,7 @@ from lehmer import (
     LogMoment,
     UsageError,
     fd_second_derivative,
+    find_inflections,
     first_derivative,
     k_constant,
     lehmer,
@@ -23,6 +24,7 @@ from lehmer import (
     tilde_l,
     tilde_l_prime,
 )
+from lehmer import calculus
 from lehmer.calculus import (
     _CANCELLATION_LIMIT,
     _EXTENDED_DPS,
@@ -140,7 +142,8 @@ class TestSecondDerivative:
 
 
 def _separate_moments_l2(spec, p, dps=_EXTENDED_DPS):
-    """50-digit L'' from four separately computed log-moments and L."""
+    """50-digit L'' from four separately computed log-moments and L, or None
+    where the bracket cancels below the working precision."""
     with mp.workdps(dps):
         pm = mp.mpf(p)
 
@@ -154,8 +157,65 @@ def _separate_moments_l2(spec, p, dps=_EXTENDED_DPS):
         bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
         scale = max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
         if abs(bracket) < mp.mpf(10) ** (8 - dps) * scale:
-            return 0.0
+            return None
         return float(_mp_lehmer(spec, pm) * bracket)
+
+
+def _hex(value):
+    return None if value is None else value.hex()
+
+
+def _ref_log_ratio(a, b):
+    """log(a / b) to a few ulps: log1p of the exact difference where Sterbenz
+    makes it exact, else the log of the quotient while that is normal."""
+    if b / 2 <= a <= 2 * b:
+        return math.log1p((a - b) / b)
+    if sys.float_info.min <= a / b < math.inf:
+        return math.log(a / b)
+    return math.log(a) - math.log(b)
+
+
+def _ref_pairwise_second_derivative(spec, p):
+    """L'' in doubles from the pairwise form, or None where it keeps under ten digits.
+
+    Written out on its own: the log ratios, the exponents of p - 1 over the
+    largest, every pair term and the rounding each term can carry are
+    recomputed here.
+    """
+    x, lw, n = spec.values, spec.log_weights, spec.n
+    q = p - 1.0
+    r = [[_ref_log_ratio(xi, xk) for xk in x] for xi in x]
+    top = max(range(n), key=lambda k: q * r[k][0] + lw[k])
+    b = [q * r[k][top] + (lw[k] - lw[top]) for k in range(n)]
+    v = [math.exp(bk) for bk in b]
+    ulps = [1.0 + abs(q * r[k][top]) + abs(lw[k]) + abs(lw[top]) for k in range(n)]
+    ts, sums, sizes = [], [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if x[i] == x[j]:
+                continue
+            qr = q * r[j][i]
+            gap = qr + (lw[j] - lw[i])
+            big, small = (i, j) if gap <= 0.0 else (j, i)
+            diff = math.copysign(v[big] * math.expm1(-abs(gap)), gap)
+            terms, rounding = [r[i][j] * diff], 0.0
+            for k in range(n):
+                if k not in (i, j):
+                    terms += [v[k] * r[i][k], v[k] * r[j][k]]
+                    rounding += v[k] * ulps[k] * (abs(r[i][k]) + abs(r[j][k]))
+            own = abs(r[i][j]) * (abs(diff) * (ulps[big] + 1.0) + v[small] * (abs(qr) + abs(lw[i]) + abs(lw[j])))
+            sums.append(math.fsum(terms))
+            sizes.append(own + rounding)
+            ts.append(b[i] + b[j] + (math.log(abs(x[i] - x[j])) + math.log(abs(r[i][j]))))
+    if not ts:
+        return None
+    t_max = max(ts)
+    e = [math.exp(t - t_max) for t in ts]
+    s = math.fsum(ek * sk for ek, sk in zip(e, sums))
+    size = math.fsum(ek * mk for ek, mk in zip(e, sizes))
+    if abs(s) <= _CANCELLATION_LIMIT * size:
+        return None
+    return math.copysign(math.exp(t_max + math.log(abs(s)) - 3.0 * math.log(math.fsum(v))), s)
 
 
 class TestExtendedBracket:
@@ -167,7 +227,7 @@ class TestExtendedBracket:
             spec = random_spec(rng, n=int(rng.integers(2, 6)), weighted=bool(rng.random() < 0.4))
             big = float(rng.choice([-1.0, 1.0]) * rng.uniform(100.0, 1000.0))
             for p in (1.0, 0.0, float(rng.integers(-20, 21)), float(rng.uniform(-30.0, 30.0)), big):
-                assert _second_derivative_mp(spec, p).hex() == _separate_moments_l2(spec, p).hex(), (spec, p)
+                assert _hex(_second_derivative_mp(spec, p)) == _hex(_separate_moments_l2(spec, p)), (spec, p)
                 checked += 1
         assert checked == 200
 
@@ -239,17 +299,23 @@ def _ref_first_derivative(spec, p):
     return value * delta
 
 
-def _ref_second_derivative(spec, p, precision):
-    if spec.is_constant:
-        return 0.0
+def _double_bracket(spec, p):
+    """The double-precision moment bracket and the largest of its terms."""
     m1p, m1q = _ref_moment(spec, p, 1), _ref_moment(spec, p - 1.0, 1)
     m2p, m2q = _ref_moment(spec, p, 2), _ref_moment(spec, p - 1.0, 2)
     terms = (m2p, -m2q, -2.0 * m1q * m1p, 2.0 * m1q * m1q)
-    bracket = math.fsum(terms)
-    if precision == "auto":
-        scale = max(abs(t) for t in terms)
-        if scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
-            return _second_derivative_mp(spec, p)
+    return math.fsum(terms), max(abs(t) for t in terms)
+
+
+def _ref_second_derivative(spec, p, precision):
+    if spec.is_constant:
+        return 0.0
+    bracket, scale = _double_bracket(spec, p)
+    if precision == "auto" and scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
+        value = _ref_pairwise_second_derivative(spec, p)
+        if value is None:
+            value = _second_derivative_mp(spec, p)
+        return 0.0 if value is None else value
     return _ref_lehmer(spec, p) * bracket
 
 
@@ -303,6 +369,175 @@ class TestOnePassDoublePath:
                     assert log_moment(spec, p, k).hex() == _ref_moment(spec, p, k).hex(), (spec, p, k)
                 checked += 1
         assert checked == 420
+
+
+_CURVE_GRID = tuple(-40.0 + 0.5 * k for k in range(161))
+_WIDE_FIXED = ([0.5, 2.5], [1e-5, 1e5], [1e-50, 1.0, 1e50])
+
+
+def _mp_moment_second_derivative(spec, p, hint):
+    """L''(p) from the moment bracket in mpmath, with no code of the package.
+
+    The digits grow until the bracket keeps 20 of them, or until |L''| is
+    certainly below 1e-301 (then 0.0). hint, an estimate of |L''|, only picks
+    the next precision: it changes the cost, not the result.
+    """
+    dps = 40
+    while True:
+        with mp.workdps(dps):
+            xs = [mp.mpf(v) for v in spec.values]
+            logs = [mp.log(x) for x in xs]
+
+            def moments(e):
+                u = [mp.mpf(w) * mp.power(x, e) for x, w in zip(xs, spec.weights)]
+                s = mp.fsum(u)
+                return s, mp.fsum(ui * li for ui, li in zip(u, logs)) / s, mp.fsum(ui * li**2 for ui, li in zip(u, logs)) / s
+
+            sp, m1p, m2p = moments(mp.mpf(p))
+            sq, m1q, m2q = moments(mp.mpf(p) - 1)
+            bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
+            scale = max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
+            noise = mp.mpf(10) ** (20 - dps) * scale
+            if abs(bracket) > noise:
+                return float(sp / sq * bracket)
+            if sp / sq * noise < mp.mpf("1e-301"):
+                return 0.0
+            need = 21 + int(mp.log10(sp / sq * scale / max(abs(hint), 1e-301)))
+        dps = max(2 * dps, need)
+
+
+class TestPairwiseFallback:
+    """Where the moment bracket cancels, L'' comes from the pairwise double
+    form, and only points near a root of L'' reach 50 digits."""
+
+    @staticmethod
+    def _tolerance(spec, p, handed_on):
+        # x^(p-1) from a rounded log carries a relative error of about
+        # |p| log x * eps; a bracket that cancels to |bracket|/scale
+        # multiplies its rounding by scale/|bracket|
+        cond = 1.0 + (abs(p) + 1.0) * max(map(abs, spec.log_values)) + max(map(abs, spec.log_weights))
+        if handed_on:
+            return max(1e-12, 4.0 * sys.float_info.epsilon * cond)
+        bracket, scale = _double_bracket(spec, p)
+        return 4.0 * sys.float_info.epsilon * cond * scale / abs(bracket)
+
+    def test_agrees_with_mp_moment_bracket(self, rng):
+        wide = [spec for k, spec in enumerate(_one_pass_specs(rng)) if (k // 5) % 4 == 1]
+        handed_on = 0
+        for spec in [make_spec(v) for v in _WIDE_FIXED] + wide:
+            for p in _CURVE_GRID:
+                got = second_derivative(spec, p)
+                want = _mp_moment_second_derivative(spec, p, got)
+                bracket, scale = _double_bracket(spec, p)
+                cancelled = abs(bracket) < _CANCELLATION_LIMIT * scale
+                handed_on += cancelled
+                tol = self._tolerance(spec, p, cancelled)
+                assert abs(got - want) <= tol * abs(want) + 1e-300, (spec.values, p, got, want)
+        assert handed_on >= 2500, handed_on
+
+    def test_values_a_few_ulps_apart(self, rng):
+        # log x_i - log x_k keeps only a few digits here; the log ratios keep them all
+        for centre in (3.0, 5.7, 0.37):
+            for n in (3, 4, 5):
+                spec = make_spec((centre * (1.0 + 1e-12 * rng.standard_normal(n))).tolist())
+                for p in _CURVE_GRID[::8]:
+                    got = second_derivative(spec, p)
+                    want = _mp_moment_second_derivative(spec, p, got)
+                    assert abs(got - want) <= 1e-9 * abs(want), (spec.values, p, got, want)
+
+    @pytest.mark.parametrize("centre", [2.0, 1e300])
+    def test_near_equal_values_at_large_exponents(self, rng, centre):
+        # exponents taken as p log x_k round to about eps |p log x|, which is
+        # the whole of (p - 1) log(x_j / x_i) here; log ratios do not
+        handed_on = 0
+        for n in (2, 3):
+            for spacing in (1e-12, 8 * 2.0**-52):
+                values = (centre * (1.0 + spacing * rng.standard_normal(n))).tolist()
+                spec = make_spec(values)
+                for p in (-1000.0, -640.5, -300.0, -100.0, 100.0, 213.25, 500.0, 1000.0):
+                    handed_on += calculus._pairwise_second_derivative(spec, p) is not None
+                    want = _mp_moment_second_derivative(spec, p, second_derivative(spec, p))
+                    for precision in ("auto", "extended"):
+                        got = second_derivative(spec, p, precision=precision)
+                        assert abs(got - want) <= 1e-10 * abs(want), (values, p, precision, got, want)
+        assert handed_on >= 28, handed_on
+
+    def test_pair_a_few_ulps_apart(self):
+        # (x_2/x_1)^(p-1) - 1 is 4e-15 (p-1) here; expm1 of the log ratio keeps it
+        spec = make_spec([2.0, 2.0 + 8 * 2.0**-51])
+        for p, value in ((0.0, 2.4892061111444e-60), (3.0, -4.9784122222888e-60)):
+            want = _mp_moment_second_derivative(spec, p, value)
+            assert want == pytest.approx(value, rel=1e-12)
+            for precision in ("auto", "extended"):
+                assert second_derivative(spec, p, precision=precision) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_extended_hands_on_below_its_noise_floor(self):
+        handed_on = 0
+        for values in _WIDE_FIXED:
+            spec = make_spec(values)
+            for p in _CURVE_GRID:
+                got = second_derivative(spec, p, precision="extended")
+                want = _mp_moment_second_derivative(spec, p, got)
+                with mp.workdps(_EXTENDED_DPS):
+                    bracket, scale = calculus._mp_bracket(spec, mp.mpf(p))
+                    left = abs(bracket) / scale
+                if left < mp.mpf(10) ** (8 - _EXTENDED_DPS):
+                    handed_on += 1
+                    tol = self._tolerance(spec, p, True)
+                else:
+                    # the 50-digit bracket keeps what its own cancellation leaves
+                    tol = 1e-12 + float(mp.mpf(10) ** (2 - _EXTENDED_DPS) / left)
+                assert abs(got - want) <= tol * abs(want) + 1e-300, (values, p, got, want)
+        assert handed_on >= 250, handed_on
+
+    @pytest.mark.parametrize(
+        "values, weights",
+        [
+            ([1.0, 2.0, 3.0], None),
+            ([6.481392263791841, 6.423811479776065, 0.15677167515095947], [0.8399342483029403, 4.791011776132837, 0.7239843357893481]),
+            ([1e-5, 1.0, 7.0, 1e5], [1.0, 3.0, 0.5, 2.0]),
+        ],
+    )
+    def test_near_a_root_keeps_ten_digits(self, values, weights):
+        # near a root the pairwise sum cancels too; what it hands on goes to
+        # 50 digits, and what it keeps must have lost at most ten digits
+        spec = make_spec(values, weights)
+        kept = handed_on = 0
+        for root in find_inflections(spec).roots:
+            for k in range(3, 14):
+                for sign in (-1.0, 1.0):
+                    p = root.p_star * (1.0 + sign * 10.0**-k)
+                    if calculus._pairwise_second_derivative(spec, p) is None:
+                        handed_on += 1
+                    else:
+                        kept += 1
+                    got = second_derivative(spec, p)
+                    want = _mp_moment_second_derivative(spec, p, got)
+                    assert abs(got - want) <= 1e-5 * abs(want), (values, p, got, want)
+        assert kept and handed_on, (kept, handed_on)
+
+    def test_beyond_the_largest_double(self):
+        # L'' of this pair near p = 1 exceeds 1.8e308: infinite, as L * bracket gives it
+        spec = make_spec([1e-300, 1.7e308])
+        for p in (0.99, 1.001):
+            value = calculus._pairwise_second_derivative(spec, p)
+            assert value == second_derivative(spec, p, precision="standard")
+            assert math.isinf(value)
+
+    def test_few_points_reach_50_digits(self, monkeypatch):
+        reached = []
+        mp_path = calculus._second_derivative_mp
+
+        def counted(spec, p, *args):
+            reached.append((spec.values, p))
+            return mp_path(spec, p, *args)
+
+        monkeypatch.setattr(calculus, "_second_derivative_mp", counted)
+        for values in _WIDE_FIXED:
+            spec = make_spec(values)
+            for p in _CURVE_GRID:
+                second_derivative(spec, p)
+        assert len(reached) <= 2, reached
 
 
 def _values_from_tiny_to_huge(rng):

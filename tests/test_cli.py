@@ -69,6 +69,13 @@ class TestDeriv:
         assert rc == 0
         assert out == "0\n"
 
+    @pytest.mark.parametrize("precision", ["auto", "extended"])
+    def test_second_derivative_below_the_50_digit_floor(self, capsys, precision):
+        # the 50-digit bracket cancels to noise here; L'' is a normal double
+        rc, out, _ = run(capsys, "deriv", "-x", "0.5,2.5,4", "-p", "1000", "--order", "2", "--precision", precision)
+        assert rc == 0
+        assert float(out) == pytest.approx(-4.0219e-205, rel=1e-6, abs=0.0)
+
     def test_check_prints_oracle(self, capsys):
         rc, out, _ = run(capsys, "deriv", "-x", "1,2,3", "-p", "0.5", "--order", "2", "--check")
         assert rc == 0
