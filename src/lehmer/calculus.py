@@ -124,19 +124,18 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
 
     The moment difference m_1(p) - m_1(p-1) is summed in the pairwise form
 
-        sum_{i<j} w_i w_j (x_i x_j)^(p-1) (x_i - x_j)(log x_i - log x_j)
+        sum_{i<j} w_i w_j (x_i x_j)^(p-1) (x_i - x_j) log(x_i / x_j)
             / (sum_i w_i x_i^p)(sum_j w_j x_j^(p-1))
 
     whose every term is non-negative, which makes the sign guarantee hold in
-    floating point and not just in exact arithmetic.
+    floating point and not just in exact arithmetic. log(x_i / x_j) comes
+    from MeanSpec.log_ratios, so values a few ulps apart keep their digits.
     """
     p = float(p)
     if spec.is_constant:
         return 0.0
     q = p - 1.0
-    ts = [g + q * sl + lp for _, _, g, sl, lp, _ in spec.pair_table if lp is not None]
-    if not ts:
-        return 0.0
+    ts = [g + q * sl + lr for _, _, g, sl, lr in spec.pair_table]
     tp = _powers(spec, p)
     tq = _powers(spec, q)
     t_max = max(ts)
@@ -228,7 +227,7 @@ def _pairwise_second_derivative(spec: MeanSpec, p: float) -> float | None:
     v = [exp(e) for e in exps]
     ulps = [1.0 + abs(q * r[k][top]) + abs(lw[k]) + abs(lw[top]) for k in range(n)]
     ts, sums, sizes = [], [], []
-    for i, j, _, _, _, lr in pairs:
+    for i, j, _, _, lr in pairs:
         qr = q * r[j][i]
         gap = qr + (lw[j] - lw[i])  # log(v_j / v_i)
         big, small = (i, j) if gap <= 0.0 else (j, i)

@@ -101,14 +101,12 @@ class MeanSpec:
         return tuple(tuple(_log_ratio(xi, xk, li, lk) for xk, lk in zip(x, l)) for xi, li in zip(x, l))
 
     @cached_property
-    def pair_table(self) -> tuple[tuple[int, int, float, float, float | None, float], ...]:
-        """(i, j, lw_i + lw_j, l_i + l_j, lp, lr) for every i < j with x_i != x_j.
+    def pair_table(self) -> tuple[tuple[int, int, float, float, float], ...]:
+        """(i, j, lw_i + lw_j, l_i + l_j, lr) for every i < j with x_i != x_j.
 
         The p-independent constants of the pairwise forms of L' and L''.
-        lp = log((x_i - x_j)(l_i - l_j)) from the logs themselves, as L' and
-        the scan's kernel take it; None where that product is not positive
-        (the logs collide at working precision). lr is the same logarithm
-        with log(x_i / x_j) from log_ratios, for the pairwise L''.
+        lr = log((x_i - x_j) log(x_i / x_j)) with the log ratio from
+        log_ratios, so that values a few ulps apart keep their digits.
         """
         x, l, lw, ratios = self.values, self.log_values, self.log_weights, self.log_ratios
         table = []
@@ -116,10 +114,8 @@ class MeanSpec:
             for j in range(i + 1, len(x)):
                 if x[i] == x[j]:
                     continue
-                prod = (x[i] - x[j]) * (l[i] - l[j])
-                lp = math.log(prod) if prod > 0.0 else None
                 lr = math.log(abs(x[i] - x[j])) + math.log(abs(ratios[i][j]))
-                table.append((i, j, lw[i] + lw[j], l[i] + l[j], lp, lr))
+                table.append((i, j, lw[i] + lw[j], l[i] + l[j], lr))
         return tuple(table)
 
     @property

@@ -6,6 +6,8 @@ where extra inflection points show up, hence the cluster sampler default.
 
 Draws are deterministic per (seed, trial): each trial seeds its own
 generator, so trial k is reproducible without replaying trials 0..k-1.
+Trials are scanned together, _SCAN_CHUNK at a time (see
+inflection._scan_many); a trial's report does not depend on its chunk.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MeanSpec, make_spec
-from .errors import NoInflectionError, RangeExhaustedError, UsageError
-from .inflection import InflectionReport, ScanConfig, find_inflections
+from .errors import UsageError
+from .inflection import InflectionReport, ScanConfig, _scan_many
+from .inflection import find_inflections  # noqa: F401  -- perfbench/spans.py traces scans by this name
 
 
 __all__ = [
@@ -27,6 +30,8 @@ __all__ = [
     "random_instance",
     "search_multi_inflection",
 ]
+
+_SCAN_CHUNK = 64  # trials scanned together
 
 
 @dataclass(frozen=True)
@@ -118,18 +123,16 @@ def random_instance(config: SearchConfig, trial: int) -> MeanSpec:
 
 
 def search_multi_inflection(config: SearchConfig) -> list[SearchHit]:
-    """All trials whose mean has at least min_roots inflection points.
+    """All trials whose mean has at least min_roots inflection points, in trial order.
 
     Trials where the scan finds nothing (constant specs after merging) or
     exhausts its range do not count as hits.
     """
     hits: list[SearchHit] = []
-    for trial in range(config.trials):
-        spec = random_instance(config, trial)
-        try:
-            report = find_inflections(spec, config.scan)
-        except (NoInflectionError, RangeExhaustedError):
-            continue
-        if len(report.roots) >= config.min_roots:
-            hits.append(SearchHit(spec=spec, report=report, trial_index=trial))
+    for start in range(0, config.trials, _SCAN_CHUNK):
+        trials = range(start, min(start + _SCAN_CHUNK, config.trials))
+        specs = [random_instance(config, trial) for trial in trials]
+        for trial, spec, outcome in zip(trials, specs, _scan_many(specs, config.scan)):
+            if isinstance(outcome, InflectionReport) and len(outcome.roots) >= config.min_roots:
+                hits.append(SearchHit(spec=spec, report=outcome, trial_index=trial))
     return hits

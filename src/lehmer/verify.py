@@ -27,7 +27,14 @@ from .calculus import (
 )
 from .core import MeanSpec, asymptotes, lehmer, make_spec, scale_spec
 from .errors import UsageError
-from .inflection import classify_n3_side, count_bound, find_inflections, weighted_n2_inflection
+from .inflection import (
+    InflectionReport,
+    _scan_many,
+    classify_n3_side,
+    count_bound,
+    find_inflections,
+    weighted_n2_inflection,
+)
 from .search import LogUniform, SearchConfig, search_multi_inflection
 
 
@@ -70,6 +77,15 @@ def _fail(name: str, samples: int, detail: str) -> CheckResult:
 
 def _ok(name: str, samples: int) -> CheckResult:
     return CheckResult(name=name, passed=True, samples=samples)
+
+
+def _scanned(specs: list[MeanSpec]):
+    """The reports of find_inflections on specs, scanned together, in order;
+    raises where find_inflections would, once the reports before it are used."""
+    for outcome in _scan_many(specs):
+        if not isinstance(outcome, InflectionReport):
+            raise outcome
+        yield outcome
 
 
 def check_monotonicity(rng: np.random.Generator, samples: int) -> CheckResult:
@@ -201,11 +217,8 @@ def check_n3(rng: np.random.Generator, samples: int) -> CheckResult:
 
 def check_n3_roots(rng: np.random.Generator, samples: int) -> CheckResult:
     name = "n3-roots"
-    for _ in range(samples):
-        spec = _random_triple(rng)
-        if spec.is_constant:
-            continue
-        report = find_inflections(spec)
+    specs = [spec for spec in (_random_triple(rng) for _ in range(samples)) if not spec.is_constant]
+    for spec, report in zip(specs, _scanned(specs)):
         if len(report.roots) != 1:
             return _fail(name, samples, f"triple without unique root: values={spec.values} roots={len(report.roots)}")
         side = classify_n3_side(spec)
@@ -229,9 +242,8 @@ def check_inequalities(rng: np.random.Generator, samples: int) -> CheckResult:
 
 def check_parity(rng: np.random.Generator, samples: int) -> CheckResult:
     name = "parity"
-    for _ in range(samples):
-        spec = _random_spec(rng, n=int(rng.integers(2, 6)), weighted=False)
-        report = find_inflections(spec)
+    specs = [_random_spec(rng, n=int(rng.integers(2, 6)), weighted=False) for _ in range(samples)]
+    for spec, report in zip(specs, _scanned(specs)):
         if not report.parity_ok:
             return _fail(name, samples, f"even root count: values={spec.values} roots={len(report.roots)}")
         if len(report.roots) > report.bound_j:
@@ -308,7 +320,7 @@ _CHECKS: dict[str, tuple[tuple[Callable[[np.random.Generator, int], CheckResult]
     "core": ((check_core, 200),),
     "derivatives": ((check_derivatives, 150),),
     "n2": ((check_n2, 300),),
-    "n3": ((check_n3, 300), (check_n3_roots, 100), (check_inequalities, 500)),
+    "n3": ((check_n3, 300), (check_n3_roots, 100)),
     "inequalities": ((check_inequalities, 500),),
     "parity": ((check_parity, 100),),
     "bounds": ((check_bounds, 1),),
@@ -324,13 +336,7 @@ def available_scopes() -> tuple[str, ...]:
 def run_checks(scope: str = "all", seed: int = 0, samples: int | None = None) -> list[CheckResult]:
     """Run one scope (or all) and return per-check results."""
     if scope == "all":
-        entries = []
-        seen = set()
-        for group in _CHECKS.values():
-            for fn, default in group:
-                if fn not in seen:
-                    seen.add(fn)
-                    entries.append((fn, default))
+        entries = [entry for group in _CHECKS.values() for entry in group]
     elif scope in _CHECKS:
         entries = list(_CHECKS[scope])
     else:

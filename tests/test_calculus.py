@@ -97,6 +97,20 @@ class TestFirstDerivative:
         for p in (-1e5, -500.0, 500.0, 1e5):
             assert first_derivative(spec, p) >= 0.0
 
+    def test_near_equal_values_keep_their_digits(self):
+        # log x_i - log x_j keeps about four digits of a log ratio near 1e-12;
+        # the reference is L (m_1(p) - m_1(p-1)) at 60 digits
+        spec = make_spec([3.0, 3.0 * (1.0 + 3e-12), 3.0 * (1.0 - 2e-12)])
+        with mp.workdps(60):
+            xs = [mp.mpf(v) for v in spec.values]
+
+            def m1(e):
+                return mp.fsum(x**e * mp.log(x) for x in xs) / mp.fsum(x**e for x in xs)
+
+            half = mp.mpf(0.5)
+            want = mp.fsum(x**half for x in xs) / mp.fsum(x ** (half - 1) for x in xs) * (m1(half) - m1(half - 1))
+        assert first_derivative(spec, 0.5) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     def test_subnormal_ratio_keeps_its_digits(self):
         # L'/L is subnormal here while L' itself is a normal double; the
         # reference is L (m_1(p) - m_1(p-1)) in 400-digit arithmetic
@@ -284,11 +298,9 @@ def _ref_first_derivative(spec, p):
     ts = []
     for i in range(spec.n):
         for j in range(i + 1, spec.n):
-            prod = (x[i] - x[j]) * (l[i] - l[j])
-            if prod > 0.0:
-                ts.append(lw[i] + lw[j] + (p - 1.0) * (l[i] + l[j]) + math.log(prod))
-    if not ts:
-        return 0.0
+            if x[i] != x[j]:
+                lr = math.log(abs(x[i] - x[j])) + math.log(abs(_ref_log_ratio(x[i], x[j])))
+                ts.append(lw[i] + lw[j] + (p - 1.0) * (l[i] + l[j]) + lr)
     t_max = max(ts)
     shift = t_max - mu - mv
     s = math.fsum(math.exp(t - t_max) for t in ts)

@@ -25,6 +25,7 @@ from lehmer.calculus import _mp_bracket
 from lehmer.inflection import (
     _MAX_BISECT_ITER,
     _SECTION_DEPTH,
+    _Batch,
     _Bracket,
     _ExpSum,
     _Grid,
@@ -32,6 +33,8 @@ from lehmer.inflection import (
     _bisect_all,
     _collect_brackets,
     _live_cells,
+    _scan_many,
+    _shape,
 )
 from lehmer.search import Cluster
 
@@ -358,7 +361,7 @@ class TestExclusionSoundness:
     def test_cells_straddling_a_root_survive(self, rng):
         checked = 0
         for spec in self._specs(rng, 15):
-            expsum = _ExpSum(spec)
+            expsum = _ExpSum([spec])
             for root in self._report(spec).roots:
                 widths = np.exp(rng.uniform(np.log(1e-7), np.log(1e3), 40))
                 left = rng.uniform(0.1, 0.9, 40) * widths
@@ -370,7 +373,7 @@ class TestExclusionSoundness:
     def test_unit_pair_cells_ending_at_one_survive(self, rng):
         for _ in range(30):
             values = np.exp(rng.uniform(-300.0, 300.0, 2)).tolist()
-            expsum = _ExpSum(make_spec(values))
+            expsum = _ExpSum([make_spec(values)])
             widths = np.exp(rng.uniform(np.log(1e-7), np.log(1e3), 40))
             ones = np.ones(40)
             assert not expsum.test(ones - widths, ones)[0].any(), values
@@ -382,7 +385,7 @@ class TestExclusionSoundness:
             report = self._report(spec)
             half = report.scan_range[1]
             ps = np.concatenate((rng.uniform(-half, half, 6), [r.p_star + rng.normal() for r in report.roots]))
-            _, signs = _ExpSum(spec).test(ps, ps)
+            _, signs = _ExpSum([spec]).test(ps, ps)
             for p, sign in zip(ps.tolist(), signs.tolist()):
                 expected = _reference_sign(spec, p)
                 if expected is None:
@@ -399,7 +402,7 @@ class TestExclusionSoundness:
         # the canonical instance scans +-8192 at 8 points per unit: about
         # 131k grid points, of which a handful near the roots stay live
         spec = make_spec(THREE_ROOT_VALUES)
-        cells, tested = _live_cells(_Grid(8192.0, 8.0), _ExpSum(spec))
+        [(cells, tested)] = _live_cells([_Grid(8192.0, 8.0)], _Batch([spec]))
         assert 3 <= cells.size <= 200
         assert tested.all()
 
@@ -440,13 +443,13 @@ class TestSectionBisection:
 
     @staticmethod
     def _scan_brackets(spec):
-        kernel = _Kernel(spec)
+        batch = _Batch([spec])
         try:
             half = find_inflections(spec).scan_range[1]
         except RangeExhaustedError as exc:
             half = exc.report.scan_range[1]
-        brackets, _ = _collect_brackets(kernel, _ExpSum(spec), _Grid(half, 8.0), [])
-        return kernel, brackets
+        [(brackets, _)] = _collect_brackets(batch, [_Grid(half, 8.0)], [[]])
+        return batch.kernels[0], brackets
 
     @staticmethod
     def _same(kernel, brackets, tolerance):
@@ -486,7 +489,7 @@ class TestSectionBisection:
 
     def test_exact_zeros(self):
         # the unit-pair kernel is exactly zero at p=1, the first midpoint of [0.5, 1.5]
-        kernel = _Kernel(make_spec([0.5, 2.5]))
+        kernel = _Kernel([make_spec([0.5, 2.5])])
         brackets = [
             _Bracket(0.875, 1.125, 1, 0.0, exact_p=1.0),
             _Bracket(0.5, 1.5, 1, 0.0),
@@ -497,7 +500,7 @@ class TestSectionBisection:
 
     def test_brackets_at_float_resolution_get_stuck(self):
         spec = make_spec([1.0, 2.0, 3.0])
-        kernel = _Kernel(spec)
+        kernel = _Kernel([spec])
         root = find_inflections(spec).roots[0].p_star
         brackets = [
             _Bracket(root, math.nextafter(root, 2.0), 1, 0.0),
@@ -511,18 +514,102 @@ class TestSectionBisection:
         # halving [-1e30, 1e30] down to the root near 0.71 takes about 150
         # steps, more than the cap allows
         spec = make_spec([1.0, 2.0, 3.0])
-        kernel = _Kernel(spec)
+        kernel = _Kernel([spec])
         brackets = [_Bracket(-1e30, 1e30, 1, 0.0), _Bracket(0.5, 1.0, 1, 0.0)]
         got = _bisect_all(kernel, brackets, 1e-300)
         expected, step_calls = _stepwise_bisection(kernel, brackets, 1e-300)
         assert step_calls == _MAX_BISECT_ITER
         assert np.array_equal(got, expected)
 
-    def test_kernel_alone_matches_one_point_calls(self, rng):
-        for n in (2, 3, 4, 5):
-            kernel = _Kernel(make_spec(np.exp(rng.uniform(-3.0, 3.0, n)).tolist()))
-            ps = rng.uniform(-50.0, 50.0, 40)
-            alone = kernel(ps, alone=True)
-            for k in range(ps.size):
-                one = kernel(ps[k : k + 1])
-                assert alone[0][k] == one[0][0] and alone[1][k] == one[1][0]
+
+def _outcome(outcome):
+    """An outcome of a scan as text: the report, or the error and its partial report."""
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}({outcome}) report={getattr(outcome, 'report', None)!r}"
+    return repr(outcome)
+
+
+def _scan_alone(spec, config):
+    try:
+        return _outcome(find_inflections(spec, config))
+    except (NoInflectionError, RangeExhaustedError) as exc:
+        return _outcome(exc)
+
+
+class TestBatchIndependence:
+    """A point's sign and log-magnitude, and so a spec's report, do not
+    depend on what else is evaluated or scanned with it."""
+
+    @staticmethod
+    def _kernel_specs(rng):
+        for n in (2, 3, 4, 5, 6):
+            for kind in ("log_uniform", "weighted", "near_equal", "wide"):
+                if kind == "near_equal":
+                    values = float(np.exp(rng.uniform(-3.0, 3.0))) * (1.0 + rng.uniform(-1e-9, 1e-9, n))
+                elif kind == "wide":
+                    values = np.exp(rng.uniform(-300.0, 300.0, n))
+                else:
+                    values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+                weights = rng.uniform(0.5, 2.0, n).tolist() if kind != "log_uniform" and rng.random() < 0.6 else None
+                yield make_spec(values.tolist(), weights)
+
+    def test_kernel_point_results_do_not_depend_on_the_call(self, rng):
+        groups = {}
+        for spec in self._kernel_specs(rng):
+            groups.setdefault(_shape(spec), []).append(spec)
+        assert sorted(len(specs) for specs in groups.values()) == [4] * 5
+        for specs in groups.values():
+            kernel = _Kernel(specs)
+            points = [rng.permutation(np.concatenate((rng.uniform(-60.0, 60.0, 150), rng.uniform(-1e6, 1e6, 150))))
+                      for _ in specs]
+            alone = []
+            for row, (spec, ps) in enumerate(zip(specs, points)):
+                own = _Kernel([spec])
+                one = [own(ps[k : k + 1]) for k in range(ps.size)]
+                signs = np.array([s[0] for s, _ in one])
+                logmag = np.array([lm[0] for _, lm in one])
+                alone.append((signs, logmag))
+                # in calls of 2-300 points of one spec, at any position
+                for size in (2, 3, 5, 8, 17, 64, 150, 300):
+                    start = int(rng.integers(0, ps.size - size + 1))
+                    for got in (own(ps[start : start + size]), kernel(ps[start : start + size], np.full(size, row))):
+                        assert np.array_equal(got[0], signs[start : start + size]), (spec, size, start)
+                        assert np.array_equal(got[1], logmag[start : start + size]), (spec, size, start)
+            # beside the other specs' points, shuffled, in one gathered call
+            rows = np.repeat(np.arange(len(specs)), [ps.size for ps in points])
+            order = rng.permutation(rows.size)
+            signs, logmag = kernel(np.concatenate(points)[order], rows[order])
+            back = np.argsort(order)
+            assert np.array_equal(signs[back], np.concatenate([s for s, _ in alone]))
+            assert np.array_equal(logmag[back], np.concatenate([lm for _, lm in alone]))
+
+    @staticmethod
+    def _batch_specs(rng):
+        specs = []
+        for _ in range(4):
+            for n in (2, 3, 4, 5):
+                values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n)).tolist()
+                specs.append(make_spec(values, rng.uniform(0.5, 2.0, n).tolist() if rng.random() < 0.5 else None))
+            values = np.exp(rng.uniform(-2.0, 2.0, 3)).tolist()
+            specs.append(make_spec(values + [values[0]]))  # a duplicate: a shape of its own
+        # evenly spaced values take windows of 128 to 1024
+        for step in (0.01, 0.05, 0.2):
+            specs.append(make_spec([1.0, 1.0 + step, 1.0 + 2.0 * step]))
+            specs.append(make_spec([2.0, 2.0 + step, 2.0 + 2.0 * step, 2.0 + 3.0 * step], [1.0, 2.0, 0.5, 1.0]))
+        specs.append(make_spec([3.0, 3.0, 3.0]))  # constant
+        specs.append(make_spec([1e300, math.nextafter(1e300, math.inf)]))  # equal logs
+        specs.append(make_spec([1.0, 1.0 + 1e-6, 1.0 + 3e-6]))  # exhausts max_half_width
+        return [specs[k] for k in rng.permutation(len(specs))]
+
+    @pytest.mark.parametrize("mode", ["auto", "standard", "extended"])
+    def test_batch_outcomes_equal_single_scans(self, rng, mode):
+        config = ScanConfig(max_half_width=4096.0, precision_mode=mode)
+        specs = self._batch_specs(rng)
+        alone = [_scan_alone(spec, config) for spec in specs]
+        for batch in (specs, specs[: len(specs) // 3], specs[len(specs) // 3 :]):
+            got = [_outcome(outcome) for outcome in _scan_many(batch, config)]
+            assert got == [alone[specs.index(spec)] for spec in batch]
+        kinds = [text.split("(", 1)[0] for text in alone]
+        assert kinds.count("NoInflectionError") == 2 and "RangeExhaustedError" in kinds
+        halves = {float(text.split("scan_range=(-", 1)[1].split(",", 1)[0]) for text in alone if "scan_range" in text}
+        assert {64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0} <= halves

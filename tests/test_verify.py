@@ -44,3 +44,10 @@ class TestResults:
         results = run_checks("all", seed=1, samples=5)
         names = [r.name for r in results]
         assert len(names) == len(set(names))
+
+    def test_every_check_sits_in_one_scope(self):
+        from lehmer import verify
+
+        checks = [fn for group in verify._CHECKS.values() for fn, _ in group]
+        defined = [getattr(verify, name) for name in dir(verify) if name.startswith("check_")]
+        assert sorted(fn.__name__ for fn in checks) == sorted(fn.__name__ for fn in defined)
