@@ -11,8 +11,6 @@ with several of them.
 """
 
 from .calculus import (
-    LogMoment,
-    N3Constant,
     N3Slacks,
     fd_second_derivative,
     first_derivative,
@@ -28,7 +26,6 @@ from .calculus import (
 from .core import (
     Asymptotes,
     MeanSpec,
-    MeanValue,
     asymptotes,
     lehmer,
     make_spec,
@@ -77,11 +74,8 @@ __all__ = [
     "InflectionRoot",
     "InvalidSpecError",
     "LehmerError",
-    "LogMoment",
     "LogUniform",
     "MeanSpec",
-    "MeanValue",
-    "N3Constant",
     "N3Slacks",
     "NoInflectionError",
     "RangeExhaustedError",

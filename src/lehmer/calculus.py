@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from math import exp, fsum, log
 from typing import NamedTuple
 
@@ -60,8 +59,6 @@ from .errors import UsageError
 
 
 __all__ = [
-    "LogMoment",
-    "N3Constant",
     "N3Slacks",
     "log_moment",
     "first_derivative",
@@ -84,26 +81,6 @@ _EXTENDED_DPS = 50
 # log-moments
 
 
-@dataclass(frozen=True)
-class LogMoment:
-    """Weighted average of (log x_i)^k under softmax weights w_i x_i^p."""
-
-    p: float
-    k: int
-    value: float
-
-    @classmethod
-    def compute(cls, spec: MeanSpec, p: float, k: int) -> "LogMoment":
-        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= 2:
-            raise UsageError(f"moment order must be an integer in 0..2, got {k!r}")
-        p = float(p)
-        value = 1.0 if k == 0 else _table_moment(spec, _powers(spec, p), k)
-        return cls(p=p, k=k, value=value)
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _table_moment(spec: MeanSpec, table: tuple, k: int) -> float:
     """m_k at the exponent of table = _powers(spec, p), for k = 1 or 2."""
     _, _, u, s = table
@@ -111,8 +88,13 @@ def _table_moment(spec: MeanSpec, table: tuple, k: int) -> float:
 
 
 def log_moment(spec: MeanSpec, p: float, k: int) -> float:
-    """m_k(p) as a float; k must be 0, 1, or 2. m_0 is exactly 1."""
-    return LogMoment.compute(spec, p, k).value
+    """m_k(p), the average of (log x_i)^k under the weights w_i x_i^p.
+
+    k must be 0, 1, or 2. m_0 is exactly 1.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= 2:
+        raise UsageError(f"moment order must be an integer in 0..2, got {k!r}")
+    return 1.0 if k == 0 else _table_moment(spec, _powers(spec, float(p)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +290,6 @@ def _mp_curvature(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
     return bracket, scale, s_p / s_q
 
 
-def _mp_bracket(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf]:
-    """The bracket L''/L at the working precision, and the largest of its terms."""
-    bracket, scale, _ = _mp_curvature(spec, p)
-    return bracket, scale
-
-
 def _second_derivative_mp(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> float | None:
     """L''(p) from the bracket at dps digits, or None where it cancels below them."""
     with mp.workdps(dps):
@@ -374,31 +350,22 @@ def _require_n3(spec: MeanSpec) -> None:
         raise UsageError("this operation is defined for unit weights only")
 
 
-@dataclass(frozen=True)
-class N3Constant:
-    """The p-independent term of the three-value second derivative.
-
-    Zero exactly when all three values are equal; its sign tells on which
-    side of p = 1 the unique inflection point lies (negative means below).
-    """
-
-    k: float
-
-    def __float__(self) -> float:
-        return self.k
-
-
 class N3Slacks(NamedTuple):
     slack_a: float
     slack_b: float
     slack_c: float
 
 
-def k_constant(spec: MeanSpec) -> N3Constant:
-    """K for an unweighted triple; symmetric under value permutations."""
+def k_constant(spec: MeanSpec) -> float:
+    """K, the p-independent term of L'' for an unweighted triple.
+
+    Symmetric under value permutations. L''(1) = K / 27, so the sign of K
+    tells on which side of p = 1 the unique inflection point lies
+    (negative means below). K is zero when all three values are equal,
+    and for distinct values whose inflection point is p = 1 itself.
+    """
     _require_n3(spec)
-    x1, x2, x3 = spec.values
-    return N3Constant(k=_k_value(x1, x2, x3))
+    return _k_value(*spec.values)
 
 
 def _k_value(x1: float, x2: float, x3: float) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -47,8 +48,12 @@ __all__ = [
     "cmd_figure_data",
 ]
 
-_FIG1_VALUES = (0.5, 2.5)
-_FIG2_VALUES = (1.0, 2.0, 3.0)
+# figure: (values, (lo, hi, step) of the p grid of its curve)
+_FIGURES = {
+    1: ((0.5, 2.5), (-4.0, 5.0, 0.05)),
+    2: ((1.0, 2.0, 3.0), (-10.0, 10.0, 0.05)),
+    3: (_FIG3_VALUES, (-500.0, 2500.0, 1.0)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +323,7 @@ def cmd_eval(args) -> int:
     if args.p_range:
         lo, hi, step = _parse_p_range(args.p_range)
         inputs["p_range"] = {"lo": lo, "hi": hi, "step": step}
-        rows = [(p, float(lehmer(spec, p))) for p in _range_points(lo, hi, step)]
+        rows = [(p, lehmer(spec, p)) for p in _range_points(lo, hi, step)]
         results = {"precision": "standard", "rows": [{"p": p, "value": v} for p, v in rows]}
         record = _record("eval", inputs, results, [], args)
         if args.json:
@@ -334,7 +339,7 @@ def cmd_eval(args) -> int:
 
     if not math.isfinite(args.p):
         raise UsageError("exponent must be finite")
-    value = float(lehmer(spec, args.p))
+    value = lehmer(spec, args.p)
     inputs["p"] = args.p
     results = {"precision": "standard", "p": args.p, "value": value}
     record = _record("eval", inputs, results, [], args)
@@ -356,7 +361,7 @@ def cmd_deriv(args) -> int:
     if args.check:
         if args.order == 1:
             h = 1e-5 * max(1.0, abs(args.p))
-            oracle = (float(lehmer(spec, args.p + h)) - float(lehmer(spec, args.p - h))) / (2.0 * h)
+            oracle = (lehmer(spec, args.p + h) - lehmer(spec, args.p - h)) / (2.0 * h)
         else:
             oracle = fd_second_derivative(spec, args.p, h=1e-4, dps=40)
     inputs = _spec_inputs(spec)
@@ -422,14 +427,7 @@ def cmd_inflect(args) -> int:
     report = find_inflections(spec, config)
     side = classify_n3_side(spec) if spec.n == 3 and spec.has_unit_weights else None
     inputs = _spec_inputs(spec)
-    inputs["scan"] = {
-        "initial_half_width": config.initial_half_width,
-        "expansion_factor": config.expansion_factor,
-        "max_half_width": config.max_half_width,
-        "grid_points_per_unit": config.grid_points_per_unit,
-        "refine_tolerance": config.refine_tolerance,
-        "precision_mode": config.precision_mode,
-    }
+    inputs["scan"] = dataclasses.asdict(config)
     record = _record("inflect", inputs, _report_payload(report, side), list(report.warnings), args)
     _emit(args, record, _report_lines(report, side), list(report.warnings))
     return 0
@@ -446,11 +444,8 @@ def cmd_search(args) -> int:
     if args.distribution == "cluster":
         distribution = Cluster(center=args.center, spread=args.spread,
                                outlier_lo=args.outlier_lo, outlier_hi=args.outlier_hi)
-        dist_inputs = {"kind": "cluster", "center": args.center, "spread": args.spread,
-                       "outlier_lo": args.outlier_lo, "outlier_hi": args.outlier_hi}
     else:
         distribution = LogUniform(args.lo, args.hi)
-        dist_inputs = {"kind": "loguniform", "lo": args.lo, "hi": args.hi}
     pinned = None
     if args.pin:
         pinned_values, _ = _parse_values(args.pin)
@@ -468,7 +463,8 @@ def cmd_search(args) -> int:
     hits = search_multi_inflection(config)
     best = max((len(h.report.roots) for h in hits), default=0)
     inputs = {"n": config.n, "trials": trials_run, "seed": args.seed,
-              "min_roots": args.min_roots, "distribution": dist_inputs}
+              "min_roots": args.min_roots,
+              "distribution": {"kind": args.distribution, **dataclasses.asdict(distribution)}}
     if pinned is not None:
         inputs["pinned_values"] = list(pinned)
     warnings: list[str] = []
@@ -518,11 +514,10 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 4
 
 
-def _figure_rows(spec: MeanSpec, points: list[float], roots: list[float]) -> list[tuple[float, float, float, int]]:
-    rows = [(p, float(lehmer(spec, p)), second_derivative(spec, p), 0) for p in points]
-    for p_star in roots:
-        rows.append((p_star, float(lehmer(spec, p_star)), second_derivative(spec, p_star), 1))
-    rows.sort(key=lambda row: (row[0], row[3]))
+def _marked_rows(row, points: list[float], roots: list[float]) -> list[tuple]:
+    """(p, *row(p), is_root) at the grid points (0) and the roots (1), sorted by p."""
+    rows = [(p, *row(p), 0) for p in points] + [(p, *row(p), 1) for p in roots]
+    rows.sort(key=lambda r: (r[0], r[-1]))
     return rows
 
 
@@ -535,62 +530,35 @@ def _write_curve_csv(path: Path, header: list[str], rows) -> None:
 
 
 def cmd_figure_data(args) -> int:
-    if args.figure not in (1, 2, 3):
+    if args.figure not in _FIGURES:
         raise UsageError(f"unknown figure {args.figure}; choose 1, 2, or 3")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    warnings: list[str] = []
-    files: list[str] = []
-    roots_payload: list[float] = []
-
-    if args.figure == 1:
-        spec = make_spec(list(_FIG1_VALUES))
-        report = find_inflections(spec)
-        roots = [r.p_star for r in report.roots]
-        rows = _figure_rows(spec, _range_points(-4.0, 5.0, 0.05), roots)
-        path = out_dir / "figure1.csv"
-        _write_curve_csv(path, ["p", "mean", "second_derivative", "is_root"], rows)
-        files.append(str(path))
-        roots_payload = roots
-        warnings.extend(report.warnings)
-    elif args.figure == 2:
-        spec = make_spec(list(_FIG2_VALUES))
-        report = find_inflections(spec)
-        roots = [r.p_star for r in report.roots]
-        rows = _figure_rows(spec, _range_points(-10.0, 10.0, 0.05), roots)
-        path = out_dir / "figure2.csv"
-        _write_curve_csv(path, ["p", "mean", "second_derivative", "is_root"], rows)
-        files.append(str(path))
+    values, p_range = _FIGURES[args.figure]
+    spec = make_spec(list(values))
+    report = find_inflections(spec)
+    roots = [r.p_star for r in report.roots]
+    path = out_dir / f"figure{args.figure}.csv"
+    rows = _marked_rows(lambda p: (lehmer(spec, p), second_derivative(spec, p)), _range_points(*p_range), roots)
+    _write_curve_csv(path, ["p", "mean", "second_derivative", "is_root"], rows)
+    files = [str(path)]
+    if args.figure == 2:
         k = tilde_l(spec, 1.0)
-        tilde_rows = []
-        for p in _range_points(-2.0, 4.0, 0.01):
-            t = tilde_l(spec, p)
-            tilde_rows.append((p, t, t - k, 0))
-        for p_star in roots:
-            t = tilde_l(spec, p_star)
-            tilde_rows.append((p_star, t, t - k, 1))
-        tilde_rows.sort(key=lambda row: (row[0], row[3]))
-        tilde_path = out_dir / "figure2_tilde.csv"
-        _write_curve_csv(tilde_path, ["p", "scaled_curvature", "scaled_curvature_minus_k", "is_root"], tilde_rows)
-        files.append(str(tilde_path))
-        roots_payload = roots
-        warnings.extend(report.warnings)
-    else:
-        spec = make_spec(list(_FIG3_VALUES))
-        report = find_inflections(spec)
-        roots = [r.p_star for r in report.roots]
-        rows = _figure_rows(spec, _range_points(-500.0, 2500.0, 1.0), roots)
-        path = out_dir / "figure3.csv"
-        _write_curve_csv(path, ["p", "mean", "second_derivative", "is_root"], rows)
-        files.append(str(path))
-        roots_payload = roots
-        warnings.extend(report.warnings)
 
+        def scaled(p: float) -> tuple[float, float]:
+            t = tilde_l(spec, p)
+            return t, t - k
+
+        tilde_path = out_dir / "figure2_tilde.csv"
+        _write_curve_csv(tilde_path, ["p", "scaled_curvature", "scaled_curvature_minus_k", "is_root"],
+                         _marked_rows(scaled, _range_points(-2.0, 4.0, 0.01), roots))
+        files.append(str(tilde_path))
+    warnings = list(report.warnings)
     inputs = {"figure": args.figure, "output_dir": str(out_dir)}
-    results = {"files": files, "roots": roots_payload, "precision": "auto"}
+    results = {"files": files, "roots": roots, "precision": "auto"}
     record = _record("figure-data", inputs, results, warnings, args)
     lines = [f"wrote {f}" for f in files]
-    lines.append("roots: " + (", ".join(_human(p) for p in roots_payload) if roots_payload else "none"))
+    lines.append("roots: " + (", ".join(_human(p) for p in roots) if roots else "none"))
     _emit(args, record, lines, warnings)
     return 0
 

@@ -24,7 +24,6 @@ from .errors import DomainError, InvalidSpecError
 
 __all__ = [
     "MeanSpec",
-    "MeanValue",
     "Asymptotes",
     "make_spec",
     "lehmer",
@@ -129,17 +128,6 @@ class MeanSpec:
         return all(w == 1.0 for w in self.weights)
 
 
-@dataclass(frozen=True)
-class MeanValue:
-    """One evaluation of the mean: exponent p and the value L(p)."""
-
-    p: float
-    value: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
 class Asymptotes(NamedTuple):
     lower: float
     upper: float
@@ -176,7 +164,7 @@ def make_spec(values: Iterable[float], weights: Sequence[float] | None = None) -
     return MeanSpec(tuple(v for v, _ in kept), tuple(w for _, w in kept))
 
 
-def lehmer(spec: MeanSpec, p: float) -> MeanValue:
+def lehmer(spec: MeanSpec, p: float) -> float:
     """Evaluate L(p). Raises DomainError for non-finite p.
 
     The returned value is clamped into [min(values), max(values)]; the clamp
@@ -186,8 +174,7 @@ def lehmer(spec: MeanSpec, p: float) -> MeanValue:
     p = float(p)
     if not math.isfinite(p):
         raise DomainError(f"exponent must be finite, got {p!r}")
-    value = _lehmer_value(spec, p)
-    return MeanValue(p=p, value=value)
+    return _lehmer_value(spec, p)
 
 
 def _powers(spec: MeanSpec, p: float) -> tuple[list[float], int, list[float], float]:

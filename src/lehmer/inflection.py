@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 import mpmath as mp
 import numpy as np
 
-from .calculus import _EXTENDED_DPS, _mp_bracket, k_constant, second_derivative
+from .calculus import _EXTENDED_DPS, _mp_curvature, k_constant, second_derivative
 from .core import MeanSpec, _lehmer_value, asymptotes
 from .errors import DegenerateError, NoInflectionError, RangeExhaustedError, UsageError
 
@@ -253,7 +253,7 @@ class _Kernel:
 def _mp_sign(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> int:
     """Sign of L''(p) at dps digits; L > 0, so the bracket's sign suffices."""
     with mp.workdps(dps):
-        bracket, _ = _mp_bracket(spec, mp.mpf(p))
+        bracket, _, _ = _mp_curvature(spec, mp.mpf(p))
         return int(mp.sign(bracket))
 
 
@@ -840,10 +840,6 @@ def _direction(sign_lo: int) -> str:
     return "convex-to-concave" if sign_lo > 0 else "concave-to-convex"
 
 
-def _direction(sign_lo: int) -> str:
-    return "convex-to-concave" if sign_lo > 0 else "concave-to-convex"
-
-
 def _windows(batch: _Batch, config: ScanConfig) -> list[tuple[float, bool]]:
     """(half-width, capped) per spec: the first half-width at which L'' has
     its asymptotic signs at both ends and L is within ASYMPTOTE_TOLERANCE
@@ -970,8 +966,6 @@ def _report(
     )
 
 
-
-
 def _scan_many(specs: Sequence[MeanSpec], config: ScanConfig | None = None) -> list:
     """find_inflections for each spec, scanned together.
 
@@ -1072,11 +1066,11 @@ def classify_n3_side(spec: MeanSpec) -> str:
     """Which side of p = 1 the unique three-value inflection point lies on.
 
     Returns "below_one" when the constant K is negative, "above_one" when
-    positive, "degenerate" when the values are all equal.
+    positive, "degenerate" when the values are all equal or K is exactly 0.
     """
     if spec.is_constant:
         return "degenerate"
-    k = k_constant(spec).k
+    k = k_constant(spec)
     if k < 0.0:
         return "below_one"
     if k > 0.0:

@@ -66,11 +66,6 @@ def _random_spec(rng: np.random.Generator, n: int | None = None, weighted: bool 
     return make_spec(values.tolist(), weights)
 
 
-def _random_triple(rng: np.random.Generator) -> MeanSpec:
-    values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 3))
-    return make_spec(values.tolist())
-
-
 def _fail(name: str, samples: int, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=False, samples=samples, detail=detail)
 
@@ -94,8 +89,8 @@ def check_monotonicity(rng: np.random.Generator, samples: int) -> CheckResult:
         spec = _random_spec(rng)
         p = float(rng.uniform(-30.0, 25.0))
         q = p + float(rng.uniform(0.5, 10.0))
-        lp = float(lehmer(spec, p))
-        lq = float(lehmer(spec, q))
+        lp = lehmer(spec, p)
+        lq = lehmer(spec, q)
         if lq - lp < -1e-12 * max(abs(lp), abs(lq)):
             return _fail(name, samples, f"L decreased: values={spec.values} p={p} q={q} L(p)={lp} L(q)={lq}")
     return _ok(name, samples)
@@ -107,13 +102,13 @@ def check_core(rng: np.random.Generator, samples: int) -> CheckResult:
         spec = _random_spec(rng)
         p = float(rng.uniform(-20.0, 20.0))
 
-        value = float(lehmer(spec, p))
+        value = lehmer(spec, p)
         lo, hi = asymptotes(spec)
         if not (lo <= value <= hi):
             return _fail(name, samples, f"bounding violated: values={spec.values} p={p} L={value}")
 
         c = float(rng.uniform(0.1, 10.0))
-        scaled = float(lehmer(scale_spec(spec, c), p))
+        scaled = lehmer(scale_spec(spec, c), p)
         if abs(scaled - c * value) > 1e-12 * abs(c * value):
             return _fail(name, samples, f"homogeneity violated: values={spec.values} c={c} p={p}")
 
@@ -121,9 +116,9 @@ def check_core(rng: np.random.Generator, samples: int) -> CheckResult:
         x = np.asarray(spec.values)
         arith = float(np.sum(w * x) / np.sum(w))
         harm = float(np.sum(w) / np.sum(w / x))
-        if abs(float(lehmer(spec, 1.0)) - arith) > 1e-12 * arith:
+        if abs(lehmer(spec, 1.0) - arith) > 1e-12 * arith:
             return _fail(name, samples, f"arithmetic identity violated: values={spec.values}")
-        if abs(float(lehmer(spec, 0.0)) - harm) > 1e-12 * harm:
+        if abs(lehmer(spec, 0.0) - harm) > 1e-12 * harm:
             return _fail(name, samples, f"harmonic identity violated: values={spec.values}")
 
         # convergence toward an asymptote is governed by the log gap between
@@ -135,7 +130,7 @@ def check_core(rng: np.random.Generator, samples: int) -> CheckResult:
             gap_hi = math.log(distinct[-1] / distinct[-2])
             h_lo = max(64.0, 25.0 / gap_lo)
             h_hi = max(64.0, 25.0 / gap_hi)
-            if abs(float(lehmer(spec, h_hi)) - hi) > 1e-6 or abs(float(lehmer(spec, -h_lo)) - lo) > 1e-6:
+            if abs(lehmer(spec, h_hi) - hi) > 1e-6 or abs(lehmer(spec, -h_lo) - lo) > 1e-6:
                 return _fail(name, samples, f"asymptote approach violated: values={spec.values}")
     return _ok(name, samples)
 
@@ -150,8 +145,8 @@ def check_derivatives(rng: np.random.Generator, samples: int) -> CheckResult:
         if d1 < 0.0:
             return _fail(name, samples, f"negative slope: values={spec.values} p={p} L'={d1}")
         h = 1e-5
-        fd1 = (float(lehmer(spec, p + h)) - float(lehmer(spec, p - h))) / (2.0 * h)
-        value = float(lehmer(spec, p))
+        fd1 = (lehmer(spec, p + h) - lehmer(spec, p - h)) / (2.0 * h)
+        value = lehmer(spec, p)
         if abs(d1 - fd1) > 1e-4 * abs(d1) + 1e-9 * max(1.0, value):
             return _fail(name, samples, f"L' vs finite difference: values={spec.values} p={p} {d1} vs {fd1}")
 
@@ -181,7 +176,7 @@ def check_n2(rng: np.random.Generator, samples: int) -> CheckResult:
         wspec = make_spec(values, weights)
         p_star = weighted_n2_inflection(wspec)
         arith = (values[0] + values[1]) / 2.0
-        at_root = float(lehmer(wspec, p_star))
+        at_root = lehmer(wspec, p_star)
         if abs(at_root - arith) > 1e-10 * arith:
             return _fail(name, samples, f"mean at p* is not the midpoint: values={values} weights={weights}")
     return _ok(name, samples)
@@ -190,10 +185,10 @@ def check_n2(rng: np.random.Generator, samples: int) -> CheckResult:
 def check_n3(rng: np.random.Generator, samples: int) -> CheckResult:
     name = "n3"
     for _ in range(samples):
-        spec = _random_triple(rng)
+        spec = _random_spec(rng, 3, weighted=False)
         p = float(rng.uniform(-10.0, 10.0))
 
-        k = k_constant(spec).k
+        k = k_constant(spec)
         d2_at_1 = second_derivative(spec, 1.0)
         if abs(d2_at_1 - k / 27.0) > 1e-9 * max(abs(k) / 27.0, 1e-300):
             return _fail(name, samples, f"L''(1) != K/27: values={spec.values} {d2_at_1} vs {k / 27.0}")
@@ -217,7 +212,7 @@ def check_n3(rng: np.random.Generator, samples: int) -> CheckResult:
 
 def check_n3_roots(rng: np.random.Generator, samples: int) -> CheckResult:
     name = "n3-roots"
-    specs = [spec for spec in (_random_triple(rng) for _ in range(samples)) if not spec.is_constant]
+    specs = [spec for spec in (_random_spec(rng, 3, weighted=False) for _ in range(samples)) if not spec.is_constant]
     for spec, report in zip(specs, _scanned(specs)):
         if len(report.roots) != 1:
             return _fail(name, samples, f"triple without unique root: values={spec.values} roots={len(report.roots)}")
@@ -233,7 +228,7 @@ def check_n3_roots(rng: np.random.Generator, samples: int) -> CheckResult:
 def check_inequalities(rng: np.random.Generator, samples: int) -> CheckResult:
     name = "inequalities"
     for _ in range(samples):
-        spec = _random_triple(rng)
+        spec = _random_spec(rng, 3, weighted=False)
         slacks = n3_inequalities(spec, float(rng.uniform(-10.0, 10.0)))
         if min(slacks) < -1e-12:
             return _fail(name, samples, f"inequality slack negative: values={spec.values} slacks={slacks}")
@@ -269,14 +264,14 @@ def check_bounds(rng: np.random.Generator, samples: int) -> CheckResult:
 def check_figures(rng: np.random.Generator, samples: int) -> CheckResult:
     name = "figures"
     pair = make_spec([0.5, 2.5])
-    if float(lehmer(pair, 1.0)) != 1.5:
+    if lehmer(pair, 1.0) != 1.5:
         return _fail(name, samples, "pair mean at p=1 is not 1.5")
     report = find_inflections(pair)
     if len(report.roots) != 1 or abs(report.roots[0].p_star - 1.0) > 1e-8:
         return _fail(name, samples, f"pair root not at 1: {report.roots}")
 
     triple = make_spec([1.0, 2.0, 3.0])
-    k = k_constant(triple).k
+    k = k_constant(triple)
     if abs(k - _K_123) > 1e-12 * abs(_K_123):
         return _fail(name, samples, f"constant for (1,2,3) drifted: {k}")
     report = find_inflections(triple)
@@ -293,7 +288,7 @@ def check_figures(rng: np.random.Generator, samples: int) -> CheckResult:
         if abs(root.p_star - expected) > 1e-6 * max(1.0, abs(expected)):
             return _fail(name, samples, f"four-value root drifted: {root.p_star} vs {expected}")
     for p in np.linspace(-500.0, 2500.0, 601):
-        value = float(lehmer(quad, float(p)))
+        value = lehmer(quad, float(p))
         if not (0.96 <= value <= 1.0259):
             return _fail(name, samples, f"four-value mean out of bounds at p={p}: {value}")
     return _ok(name, samples)

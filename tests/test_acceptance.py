@@ -98,7 +98,7 @@ def test_criterion_2_weighted_pair_closed_form(report):
 def test_criterion_3_reference_triple(report):
     spec = make_spec([1.0, 2.0, 3.0])
     rep = find_inflections(spec)
-    k = k_constant(spec).k
+    k = k_constant(spec)
     ok = (
         len(rep.roots) == 1
         and abs(rep.roots[0].p_star - 0.707) <= 5e-3
@@ -120,7 +120,7 @@ def test_criterion_4_triple_uniqueness_and_side(report):
             values = _log_uniform(rng, 0.1, 10.0, 3)
         spec = make_spec(values)
         rep = find_inflections(spec)
-        k = k_constant(spec).k
+        k = k_constant(spec)
         if k < 0.0:
             negative_k += 1
         side_ok = (k < 0.0 and rep.roots[0].p_star < 1.0) or (k > 0.0 and rep.roots[0].p_star > 1.0)

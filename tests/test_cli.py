@@ -6,6 +6,7 @@ import pytest
 
 from lehmer import CheckResult
 from lehmer.cli import main, render_json
+from lehmer.verify import _FIG3_ROOTS
 
 
 def run(capsys, *argv):
@@ -178,15 +179,15 @@ class TestVerify:
 
 
 class TestFigureData:
-    def test_pair_curve(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "figure-data", "1", "--output-dir", str(tmp_path))
+    @pytest.mark.parametrize("figure, roots, tol", [(1, (1.0,), 1e-9), (3, _FIG3_ROOTS, 1e-6)], ids=["1", "3"])
+    def test_curve_marks_roots(self, capsys, tmp_path, figure, roots, tol):
+        rc, _, _ = run(capsys, "figure-data", str(figure), "--output-dir", str(tmp_path))
         assert rc == 0
-        lines = (tmp_path / "figure1.csv").read_text().splitlines()
+        lines = (tmp_path / f"figure{figure}.csv").read_text().splitlines()
         assert lines[0] == "p,mean,second_derivative,is_root"
         assert len(lines) > 180
-        marked = [line for line in lines if line.endswith(",1")]
-        assert len(marked) == 1
-        assert float(marked[0].split(",")[0]) == pytest.approx(1.0, abs=1e-9)
+        marked = [float(line.split(",")[0]) for line in lines if line.endswith(",1")]
+        assert marked == pytest.approx(list(roots), abs=tol)
 
     def test_triple_writes_curvature_file(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "figure-data", "2", "--output-dir", str(tmp_path))

@@ -21,7 +21,7 @@ from lehmer import (
     make_spec,
     weighted_n2_inflection,
 )
-from lehmer.calculus import _mp_bracket
+from lehmer.calculus import _mp_curvature
 from lehmer.inflection import (
     _MAX_BISECT_ITER,
     _SECTION_DEPTH,
@@ -173,7 +173,7 @@ class TestTriples:
             report = find_inflections(spec)
             assert len(report.roots) == 1
             p_star = report.roots[0].p_star
-            k = k_constant(spec).k
+            k = k_constant(spec)
             if k < 0.0:
                 assert p_star < 1.0
             elif k > 0.0:
@@ -323,7 +323,7 @@ class TestHeavyInstances:
 def _reference_sign(spec, p, dps=60):
     """Sign of L'' from the 60-digit bracket, or None when fewer than 12 digits survive."""
     with mp.workdps(dps):
-        bracket, scale = _mp_bracket(spec, mp.mpf(p))
+        bracket, scale, _ = _mp_curvature(spec, mp.mpf(p))
         if abs(bracket) < mp.mpf(10) ** (12 - dps) * scale:
             return None
         return int(mp.sign(bracket))

@@ -1,0 +1,27 @@
+"""Static checks on the package source that no installed linter makes."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "lehmer").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_top_level_name_defined_twice(path):
+    # a second def of a name silently replaces the first, so an edit to
+    # the first copy would have no effect
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    twice = sorted(name for name, count in Counter(defs).items() if count > 1)
+    assert not twice, f"{path.name} defines {', '.join(twice)} more than once"
+
+
+def test_package_source_found():
+    assert "__init__.py" in {path.name for path in MODULES}
