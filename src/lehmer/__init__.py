@@ -45,7 +45,6 @@ from .inflection import (
     CountBound,
     InflectionReport,
     InflectionRoot,
-    ScanConfig,
     classify_n3_side,
     count_bound,
     find_inflections,
@@ -79,7 +78,6 @@ __all__ = [
     "N3Slacks",
     "NoInflectionError",
     "RangeExhaustedError",
-    "ScanConfig",
     "SearchConfig",
     "SearchHit",
     "UsageError",

@@ -137,6 +137,11 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
 # second derivative
 
 
+def _check_precision(precision: str) -> None:
+    if precision not in ("standard", "extended", "auto"):
+        raise UsageError(f"unknown precision mode {precision!r}")
+
+
 def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> float:
     """L''(p) via the log-moment bracket; exactly 0 for constant specs.
 
@@ -151,8 +156,7 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
                     floor; else 0.0 (default)
     """
     p = float(p)
-    if precision not in ("standard", "extended", "auto"):
-        raise UsageError(f"unknown precision mode {precision!r}")
+    _check_precision(precision)
     if spec.is_constant:
         return 0.0
     if precision == "extended":
@@ -365,15 +369,26 @@ def k_constant(spec: MeanSpec) -> float:
     and for distinct values whose inflection point is p = 1 itself.
     """
     _require_n3(spec)
-    return _k_value(*spec.values)
+    return _k_value(spec)
 
 
-def _k_value(x1: float, x2: float, x3: float) -> float:
+def _log_quotient(a: float, b: float, log_a: float, log_b: float) -> float:
+    """log(a / b); from log_a - log_b where a, b or a / b is not a normal double."""
+    tiny = sys.float_info.min
+    if tiny <= a < math.inf and tiny <= b < math.inf:
+        q = a / b
+        if tiny <= q < math.inf:
+            return log(q)
+    return log_a - log_b
+
+
+def _k_value(spec: MeanSpec) -> float:
+    (x1, x2, x3), (l1, l2, l3) = spec.values, spec.log_values
     return fsum(
         (
-            (x1 - x2) * log(x1 / x2) * log(x1 * x2 / (x3 * x3)),
-            (x1 - x3) * log(x1 / x3) * log(x1 * x3 / (x2 * x2)),
-            (x2 - x3) * log(x2 / x3) * log(x2 * x3 / (x1 * x1)),
+            (x1 - x2) * _log_quotient(x1, x2, l1, l2) * _log_quotient(x1 * x2, x3 * x3, l1 + l2, 2.0 * l3),
+            (x1 - x3) * _log_quotient(x1, x3, l1, l3) * _log_quotient(x1 * x3, x2 * x2, l1 + l3, 2.0 * l2),
+            (x2 - x3) * _log_quotient(x2, x3, l2, l3) * _log_quotient(x2 * x3, x1 * x1, l2 + l3, 2.0 * l1),
         )
     )
 
@@ -382,7 +397,10 @@ def tilde_l(spec: MeanSpec, p: float) -> float:
     """Bracketed factor of the three-value L''; strictly decreasing in p.
 
     Its unique root is the inflection point; at p = 1 the exponential
-    differences vanish exactly and the value reduces to K.
+    differences vanish exactly and the value reduces to K. The quotients
+    x_i / x_j are taken in doubles: where one leaves the double range (for
+    example 1e-200, 1e-150, 1e305) it raises ValueError or
+    ZeroDivisionError, or returns a value that is not finite.
     """
     _require_n3(spec)
     p = float(p)
@@ -393,7 +411,7 @@ def tilde_l(spec: MeanSpec, p: float) -> float:
             (pow(x2 / x3, q) - pow(x1 / x3, q)) * (x1 - x2) * log(x1 / x2) ** 2,
             (pow(x3 / x2, q) - pow(x1 / x2, q)) * (x1 - x3) * log(x1 / x3) ** 2,
             (pow(x3 / x1, q) - pow(x2 / x1, q)) * (x2 - x3) * log(x2 / x3) ** 2,
-            _k_value(x1, x2, x3),
+            _k_value(spec),
         )
     )
 
@@ -442,7 +460,10 @@ def n3_inequalities(spec: MeanSpec, p: float) -> N3Slacks:
 
     Every product (x_i - x_j) log(x_j / x_i) is non-positive by sign
     matching, so each left side is <= 0, each right side is >= 0, and the
-    slack is a sum of non-negative quantities with no cancellation.
+    slack is a sum of non-negative quantities with no cancellation. The
+    quotients x_i / x_j are taken in doubles: where one leaves the double
+    range it raises ValueError or ZeroDivisionError, or returns slacks that
+    are not finite.
     """
     _require_n3(spec)
     p = float(p)

@@ -27,7 +27,6 @@ from .core import MeanSpec, lehmer, make_spec
 from .errors import DomainError, RangeExhaustedError, UsageError
 from .inflection import (
     InflectionReport,
-    ScanConfig,
     classify_n3_side,
     count_bound,
     find_inflections,
@@ -241,12 +240,15 @@ def _build_parser() -> _Parser:
     """
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
-    common.add_argument("--precision", choices=("standard", "extended", "auto"), default="auto",
-                        help="numeric precision policy for curvature computations")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     common.add_argument("--output", metavar="PATH", help="write the report to a file instead of stdout")
     common.add_argument("--timestamp", action="store_true",
                         help="include a wall-clock timestamp (off by default so output is reproducible)")
+    # only for the commands that read them
+    precision = _Parser(add_help=False)
+    precision.add_argument("--precision", choices=("standard", "extended", "auto"), default="auto",
+                           help="numeric precision policy for curvature computations")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
 
     parser = _Parser(prog="lehmer", description="Lehmer mean calculator and inflection-point finder")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -258,7 +260,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--p-range", metavar="LO:HI:STEP", help="evaluate over a grid of exponents")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_deriv = sub.add_parser("deriv", parents=[common], help="first or second derivative in p")
+    p_deriv = sub.add_parser("deriv", parents=[common, precision], help="first or second derivative in p")
     p_deriv.add_argument("-x", "--values", required=True, metavar="LIST")
     p_deriv.add_argument("-w", "--weights", metavar="LIST")
     p_deriv.add_argument("-p", type=float, required=True)
@@ -267,21 +269,17 @@ def _build_parser() -> _Parser:
                          help="also print a finite-difference oracle value")
     p_deriv.set_defaults(func=cmd_deriv)
 
-    p_inflect = sub.add_parser("inflect", parents=[common], help="locate all inflection points")
+    p_inflect = sub.add_parser("inflect", parents=[common, precision], help="locate all inflection points")
     p_inflect.add_argument("-x", "--values", required=True, metavar="LIST")
     p_inflect.add_argument("-w", "--weights", metavar="LIST")
-    p_inflect.add_argument("--initial-half-width", type=float, default=64.0)
-    p_inflect.add_argument("--expansion-factor", type=float, default=2.0)
-    p_inflect.add_argument("--max-half-width", type=float, default=1e6)
-    p_inflect.add_argument("--grid-density", type=float, default=8.0, help="grid points per unit of p")
-    p_inflect.add_argument("--tolerance", type=float, default=1e-9, help="bisection half-width target")
     p_inflect.set_defaults(func=cmd_inflect)
 
     p_bound = sub.add_parser("bound", parents=[common], help="inflection-count bound for n values")
     p_bound.add_argument("n", type=int)
     p_bound.set_defaults(func=cmd_bound)
 
-    p_search = sub.add_parser("search", parents=[common], help="search for means with several inflection points")
+    p_search = sub.add_parser("search", parents=[common, precision, seeded],
+                              help="search for means with several inflection points")
     p_search.add_argument("-n", type=int, default=4, help="number of values per trial")
     p_search.add_argument("--trials", type=int, default=1000)
     p_search.add_argument("--min-roots", type=int, default=3)
@@ -295,7 +293,7 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--pin", metavar="LIST", help="skip sampling and scan exactly these values")
     p_search.set_defaults(func=cmd_search)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run randomized property checks")
+    p_verify = sub.add_parser("verify", parents=[common, seeded], help="run randomized property checks")
     p_verify.add_argument("--scope", default="all", help="one of: " + ", ".join(available_scopes()))
     p_verify.add_argument("--samples", type=int, default=None, help="override per-check sample count")
     p_verify.set_defaults(func=cmd_verify)
@@ -416,18 +414,10 @@ def _report_lines(report: InflectionReport, side: str | None) -> list[str]:
 
 def cmd_inflect(args) -> int:
     spec = _spec_from_args(args)
-    config = ScanConfig(
-        initial_half_width=args.initial_half_width,
-        expansion_factor=args.expansion_factor,
-        max_half_width=args.max_half_width,
-        grid_points_per_unit=args.grid_density,
-        refine_tolerance=args.tolerance,
-        precision_mode=args.precision,
-    )
-    report = find_inflections(spec, config)
+    report = find_inflections(spec, args.precision)
     side = classify_n3_side(spec) if spec.n == 3 and spec.has_unit_weights else None
     inputs = _spec_inputs(spec)
-    inputs["scan"] = dataclasses.asdict(config)
+    inputs["scan"] = {"precision_mode": args.precision}
     record = _record("inflect", inputs, _report_payload(report, side), list(report.warnings), args)
     _emit(args, record, _report_lines(report, side), list(report.warnings))
     return 0
@@ -457,7 +447,7 @@ def cmd_search(args) -> int:
         seed=args.seed,
         values=distribution,
         min_roots=args.min_roots,
-        scan=ScanConfig(precision_mode=args.precision),
+        precision=args.precision,
         pinned_values=pinned,
     )
     hits = search_multi_inflection(config)

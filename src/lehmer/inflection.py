@@ -47,13 +47,12 @@ from typing import NamedTuple, Sequence
 import mpmath as mp
 import numpy as np
 
-from .calculus import _EXTENDED_DPS, _mp_curvature, k_constant, second_derivative
+from .calculus import _EXTENDED_DPS, _check_precision, _mp_curvature, k_constant, second_derivative
 from .core import MeanSpec, _lehmer_value, asymptotes
 from .errors import DegenerateError, NoInflectionError, RangeExhaustedError, UsageError
 
 
 __all__ = [
-    "ScanConfig",
     "InflectionRoot",
     "InflectionReport",
     "CountBound",
@@ -67,6 +66,13 @@ ASYMPTOTE_TOLERANCE = 1e-6
 
 _log = logging.getLogger(__name__)
 
+# one scan policy for every caller; the benchmark's window classes and grid
+# counts (perfbench/) assume these values
+_INITIAL_HALF_WIDTH = 64.0     # the window starts at [-64, 64]
+_EXPANSION_FACTOR = 2.0        # and doubles
+_MAX_HALF_WIDTH = 1e6          # up to this cap; RangeExhaustedError past it
+_GRID_POINTS_PER_UNIT = 8.0    # scan grid points per unit of p
+_REFINE_TOLERANCE = 1e-9       # bisection stops at brackets this wide
 _SPLIT_DEPTH = 12
 _COARSE_CELLS = 128            # about this many cells start the exclusion
 _BRANCH = 16                   # parts per surviving cell at the next exclusion level
@@ -79,38 +85,6 @@ _TEST_ELEMENTS = 1 << 16       # cells times terms per exclusion chunk
 _PARTIAL_BUDGET = 400_000      # grid points for the post-exhaustion pass
 _MAX_BISECT_ITER = 128
 _SECTION_DEPTH = 6             # bisection steps per kernel call
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """Scan policy. Defaults locate every known multi-root instance.
-
-    precision_mode: "standard" refines with double-precision sign tests,
-    "extended" re-refines every bracket with 50-digit sign tests, "auto"
-    escalates only brackets whose refined residual stays above 1e-3 of the
-    local curvature scale.
-    """
-
-    initial_half_width: float = 64.0
-    expansion_factor: float = 2.0
-    max_half_width: float = 1e6
-    grid_points_per_unit: float = 8.0
-    refine_tolerance: float = 1e-9
-    precision_mode: str = "auto"
-
-    def __post_init__(self):
-        if not self.initial_half_width > 0.0:
-            raise UsageError("initial_half_width must be positive")
-        if not self.expansion_factor > 1.0:
-            raise UsageError("expansion_factor must exceed 1")
-        if self.max_half_width < self.initial_half_width:
-            raise UsageError("max_half_width must be at least initial_half_width")
-        if not self.grid_points_per_unit > 0.0:
-            raise UsageError("grid_points_per_unit must be positive")
-        if not self.refine_tolerance > 0.0:
-            raise UsageError("refine_tolerance must be positive")
-        if self.precision_mode not in ("standard", "extended", "auto"):
-            raise UsageError(f"unknown precision mode {self.precision_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -812,7 +786,7 @@ def _bisect_all(kernel, brackets: list[_Bracket], tolerance: float, owner: np.nd
     return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
 
 
-def _bisect_mp(spec: MeanSpec, lo: float, hi: float, tolerance: float) -> float | None:
+def _bisect_mp(spec: MeanSpec, lo: float, hi: float) -> float | None:
     """50-digit re-bisection; None when the endpoint signs do not differ."""
     s_lo = _mp_sign(spec, lo)
     s_hi = _mp_sign(spec, hi)
@@ -822,7 +796,7 @@ def _bisect_mp(spec: MeanSpec, lo: float, hi: float, tolerance: float) -> float 
         return hi
     if s_lo == s_hi:
         return None
-    while hi - lo > tolerance:
+    while hi - lo > _REFINE_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -840,16 +814,16 @@ def _direction(sign_lo: int) -> str:
     return "convex-to-concave" if sign_lo > 0 else "concave-to-convex"
 
 
-def _windows(batch: _Batch, config: ScanConfig) -> list[tuple[float, bool]]:
+def _windows(batch: _Batch) -> list[tuple[float, bool]]:
     """(half-width, capped) per spec: the first half-width at which L'' has
     its asymptotic signs at both ends and L is within ASYMPTOTE_TOLERANCE
-    of both asymptotes, doubling from initial_half_width; capped where
-    max_half_width is reached first. Each doubling is one kernel call for
+    of both asymptotes, doubling from _INITIAL_HALF_WIDTH; capped where
+    _MAX_HALF_WIDTH is reached first. Each doubling is one kernel call for
     all the specs not yet settled.
     """
     specs = batch.specs
     limits = [asymptotes(spec) for spec in specs]
-    half = [min(config.initial_half_width, config.max_half_width)] * len(specs)
+    half = [_INITIAL_HALF_WIDTH] * len(specs)
     capped = [False] * len(specs)
     unsettled = list(range(len(specs)))
     while unsettled:
@@ -865,33 +839,42 @@ def _windows(batch: _Batch, config: ScanConfig) -> list[tuple[float, bool]]:
             )
             if signs_ok and prox_ok:
                 continue
-            if half[k] >= config.max_half_width:
+            if half[k] >= _MAX_HALF_WIDTH:
                 capped[k] = True
                 continue
-            half[k] = min(half[k] * config.expansion_factor, config.max_half_width)
+            half[k] = min(half[k] * _EXPANSION_FACTOR, _MAX_HALF_WIDTH)
             left.append(k)
         unsettled = left
     return list(zip(half, capped))
 
 
+def _above_scale(residual: float, log_scale: float) -> bool:
+    """residual > _ESCALATION_FACTOR * exp(log_scale), also where the exp
+    leaves the double range."""
+    try:
+        return residual > _ESCALATION_FACTOR * math.exp(log_scale)
+    except OverflowError:
+        return residual > 0.0 and math.log(residual) - log_scale > math.log(_ESCALATION_FACTOR)
+
+
 def _report(
-    spec: MeanSpec, brackets: list[_Bracket], mids: np.ndarray, half: float, config: ScanConfig, warnings: list[str]
+    spec: MeanSpec, brackets: list[_Bracket], mids: np.ndarray, half: float, precision: str, warnings: list[str]
 ) -> InflectionReport:
     """One spec's report from its bisected brackets: residuals, 50-digit
-    refinement where the mode asks for it, merging and the checks."""
-    precision_flag = config.precision_mode == "extended"
-    sd_mode = config.precision_mode
-
-    refined: list[tuple[float, _Bracket, float]] = []
+    refinement where the mode asks for it, and the checks. Each bracket is
+    one root: a pair of roots closer than the bisection tolerance shows as
+    an even count, not as one root."""
+    precision_flag = precision == "extended"
+    roots: list[InflectionRoot] = []
     for k, br in enumerate(brackets):
         p_star = float(mids[k]) if br.exact_p is None else br.exact_p
-        if config.precision_mode == "extended":
-            better = _bisect_mp(spec, br.lo, br.hi, config.refine_tolerance)
+        if precision == "extended":
+            better = _bisect_mp(spec, br.lo, br.hi)
             if better is not None:
                 p_star = better
-        residual = abs(second_derivative(spec, p_star, precision=sd_mode))
-        if config.precision_mode == "auto" and residual > _ESCALATION_FACTOR * math.exp(br.local_log_scale):
-            better = _bisect_mp(spec, br.lo, br.hi, config.refine_tolerance)
+        residual = abs(second_derivative(spec, p_star, precision=precision))
+        if precision == "auto" and _above_scale(residual, br.local_log_scale):
+            better = _bisect_mp(spec, br.lo, br.hi)
             if better is not None:
                 p_star = better
                 residual = abs(second_derivative(spec, p_star, precision="extended"))
@@ -901,47 +884,10 @@ def _report(
                     f"residual {residual:.3g} near p={p_star:.6g} stayed above the local scale "
                     "and the 50-digit endpoint signs do not bracket a crossing"
                 )
-        refined.append((p_star, br, residual))
-
-    refined.sort(key=lambda item: item[0])
-
-    # merge near-coincident roots instead of silently double-counting
-    roots: list[InflectionRoot] = []
-    merge_gap = 2.0 * config.refine_tolerance
-    group: list[tuple[float, _Bracket, float]] = []
-
-    def flush_group():
-        if not group:
-            return
-        if len(group) == 1:
-            p_star, br, residual = group[0]
-            roots.append(
-                InflectionRoot(
-                    p_star=p_star, bracket=(br.lo, br.hi), residual=residual, direction=_direction(br.sign_lo)
-                )
-            )
-        else:
-            p_star = math.fsum(item[0] for item in group) / len(group)
-            residual = abs(second_derivative(spec, p_star, precision=sd_mode))
-            warnings.append(
-                f"merged {len(group)} near-coincident roots near p={p_star:.6g}; parity may be unreliable"
-            )
-            roots.append(
-                InflectionRoot(
-                    p_star=p_star,
-                    bracket=(group[0][1].lo, group[-1][1].hi),
-                    residual=residual,
-                    direction=_direction(group[0][1].sign_lo),
-                )
-            )
-
-    for item in refined:
-        if group and item[0] - group[-1][0] < merge_gap:
-            group.append(item)
-        else:
-            flush_group()
-            group = [item]
-    flush_group()
+        roots.append(
+            InflectionRoot(p_star=p_star, bracket=(br.lo, br.hi), residual=residual, direction=_direction(br.sign_lo))
+        )
+    roots.sort(key=lambda root: root.p_star)
 
     for k, root in enumerate(roots):
         expected = "convex-to-concave" if k % 2 == 0 else "concave-to-convex"
@@ -966,14 +912,13 @@ def _report(
     )
 
 
-def _scan_many(specs: Sequence[MeanSpec], config: ScanConfig | None = None) -> list:
+def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
     """find_inflections for each spec, scanned together.
 
     Returns, in order, an InflectionReport or the NoInflectionError or
     RangeExhaustedError that find_inflections would raise for each spec.
     """
-    if config is None:
-        config = ScanConfig()
+    _check_precision(precision)
     outcomes: list = [None] * len(specs)
     scanned = []
     for k, spec in enumerate(specs):
@@ -986,10 +931,10 @@ def _scan_many(specs: Sequence[MeanSpec], config: ScanConfig | None = None) -> l
     if not scanned:
         return outcomes
     batch = _Batch([specs[k] for k in scanned])
-    windows = _windows(batch, config)
+    windows = _windows(batch)
     grids, warnings = [], []
     for half, capped in windows:
-        per_unit = config.grid_points_per_unit
+        per_unit = _GRID_POINTS_PER_UNIT
         warnings.append([])
         if capped:
             warnings[-1].append(
@@ -1001,7 +946,7 @@ def _scan_many(specs: Sequence[MeanSpec], config: ScanConfig | None = None) -> l
     brackets = [br for found, _ in collected for br in found]
     owner = np.array([t for t, (found, _) in enumerate(collected) for _ in found], dtype=np.intp)
     calls, points = batch.calls, batch.points
-    mids = _bisect_all(batch, brackets, config.refine_tolerance, owner)
+    mids = _bisect_all(batch, brackets, _REFINE_TOLERANCE, owner)
     for (half, _), (_, (live, grid_points, uncleared)) in zip(windows, collected):
         _log.debug(
             "scan half-width %g: %d live grid cells, %d kernel points on the grid, %d split cells left uncleared",
@@ -1022,25 +967,31 @@ def _scan_many(specs: Sequence[MeanSpec], config: ScanConfig | None = None) -> l
     for t, k in enumerate(scanned):
         half, capped = windows[t]
         found = collected[t][0]
-        report = _report(specs[k], found, mids[start : start + len(found)], half, config, warnings[t])
+        report = _report(specs[k], found, mids[start : start + len(found)], half, precision, warnings[t])
         start += len(found)
         if capped:
             outcomes[k] = RangeExhaustedError(
-                f"no asymptotic curvature regime within half-width {config.max_half_width:g}", report=report
+                f"no asymptotic curvature regime within half-width {_MAX_HALF_WIDTH:g}", report=report
             )
         else:
             outcomes[k] = report
     return outcomes
 
 
-def find_inflections(spec: MeanSpec, config: ScanConfig | None = None) -> InflectionReport:
+def find_inflections(spec: MeanSpec, precision: str = "auto") -> InflectionReport:
     """Locate all inflection points of L.
+
+    precision: "standard" refines with double-precision sign tests,
+    "extended" re-refines every bracket with 50-digit sign tests, "auto"
+    (the default) escalates only brackets whose refined residual stays
+    above 1e-3 of the local curvature scale. Raises UsageError for any
+    other value.
 
     Raises NoInflectionError for constant specs and RangeExhaustedError
     (carrying a partial report) when the asymptotic regime is not reached
-    within max_half_width.
+    within half-width 1e6.
     """
-    outcome = _scan_many([spec], config)[0]
+    outcome = _scan_many([spec], precision)[0]
     if not isinstance(outcome, InflectionReport):
         raise outcome
     return outcome

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calculus import _check_precision
 from .core import MeanSpec, make_spec
 from .errors import UsageError
-from .inflection import InflectionReport, ScanConfig, _scan_many
+from .inflection import InflectionReport, _scan_many
 from .inflection import find_inflections  # noqa: F401  -- perfbench/spans.py traces scans by this name
 
 
@@ -89,7 +90,7 @@ class SearchConfig:
     seed: int = 0
     values: LogUniform | Cluster = field(default_factory=Cluster)
     min_roots: int = 3
-    scan: ScanConfig = field(default_factory=ScanConfig)
+    precision: str = "auto"
     pinned_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -101,6 +102,7 @@ class SearchConfig:
             raise UsageError("seed must be a nonnegative integer")
         if not isinstance(self.min_roots, int) or self.min_roots < 1:
             raise UsageError("min_roots must be a positive integer")
+        _check_precision(self.precision)
         if self.pinned_values is not None:
             object.__setattr__(self, "pinned_values", tuple(float(v) for v in self.pinned_values))
 
@@ -132,7 +134,7 @@ def search_multi_inflection(config: SearchConfig) -> list[SearchHit]:
     for start in range(0, config.trials, _SCAN_CHUNK):
         trials = range(start, min(start + _SCAN_CHUNK, config.trials))
         specs = [random_instance(config, trial) for trial in trials]
-        for trial, spec, outcome in zip(trials, specs, _scan_many(specs, config.scan)):
+        for trial, spec, outcome in zip(trials, specs, _scan_many(specs, config.precision)):
             if isinstance(outcome, InflectionReport) and len(outcome.roots) >= config.min_roots:
                 hits.append(SearchHit(spec=spec, report=outcome, trial_index=trial))
     return hits

@@ -329,7 +329,12 @@ def available_scopes() -> tuple[str, ...]:
 
 
 def run_checks(scope: str = "all", seed: int = 0, samples: int | None = None) -> list[CheckResult]:
-    """Run one scope (or all) and return per-check results."""
+    """Run one scope (or all) and return per-check results.
+
+    samples overrides every check's own sample count; it must be at least 1.
+    """
+    if samples is not None and samples < 1:
+        raise UsageError(f"samples must be at least 1, got {samples}")
     if scope == "all":
         entries = [entry for group in _CHECKS.values() for entry in group]
     elif scope in _CHECKS:

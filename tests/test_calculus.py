@@ -629,6 +629,36 @@ class TestTripleClosedForm:
     def test_constant_is_plain_float(self):
         assert type(k_constant(make_spec([1.0, 2.0, 3.0]))) is float
 
+    @pytest.mark.parametrize(
+        "values", [[1e-160, 1.0, 1e160], [1e200, 2e200, 3e200], [1e-200, 1e-150, 1e305], [1e-150, 1e150, 2e150]]
+    )
+    def test_constant_beyond_the_double_range_of_products(self, values):
+        # x_i x_j, x_k^2 or their quotient leaves the double range; K's sign stays right
+        spec = make_spec(values)
+        with mp.workdps(60):
+            x = [mp.mpf(v) for v in values]
+            reference = mp.fsum(
+                (x[i] - x[j]) * mp.log(x[i] / x[j]) * mp.log(x[i] * x[j] / (x[k] * x[k]))
+                for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+            )
+        k = k_constant(spec)
+        assert mp.sign(reference) == math.copysign(1.0, k)
+        if abs(reference) < sys.float_info.max:
+            assert k == pytest.approx(float(reference), rel=1e-12)
+
+    def test_constant_bit_identical_in_range(self, rng):
+        # every product and quotient is a normal double: K is the plain formula
+        for _ in range(300):
+            x1, x2, x3 = np.exp(rng.uniform(-150.0, 150.0, 3) * rng.choice([1e-6, 1e-2, 1.0])).tolist()
+            plain = math.fsum(
+                (
+                    (x1 - x2) * math.log(x1 / x2) * math.log(x1 * x2 / (x3 * x3)),
+                    (x1 - x3) * math.log(x1 / x3) * math.log(x1 * x3 / (x2 * x2)),
+                    (x2 - x3) * math.log(x2 / x3) * math.log(x2 * x3 / (x1 * x1)),
+                )
+            )
+            assert k_constant(make_spec([x1, x2, x3])) == plain
+
     def test_scaled_curvature_at_one_equals_constant(self, rng):
         for _ in range(100):
             values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 3)).tolist()

@@ -108,11 +108,20 @@ class TestInflect:
         assert "error" in err
 
     def test_exhausted_range_exit_code(self, capsys):
-        rc, _, err = run(
-            capsys, "inflect", "-x", "1,2", "--initial-half-width", "4", "--max-half-width", "4"
-        )
+        rc, _, err = run(capsys, "inflect", "-x", "1,1.000000001,1.000000003")
         assert rc == 3
         assert "partial scan" in err
+
+    @pytest.mark.parametrize(
+        "values, side",
+        [("1e-200,1e-150,1e305", "above_one"), ("1e-160,1,1e160", "above_one"), ("1e200,2e200,3e200", "below_one")],
+    )
+    def test_values_whose_products_leave_the_double_range(self, capsys, values, side):
+        rc, out, _ = run(capsys, "inflect", "-x", values, "--json")
+        assert rc == 0
+        results = json.loads(out)["results"]
+        assert len(results["roots"]) == 1
+        assert results["side"] == side
 
     def test_json_roots(self, capsys):
         rc, out, _ = run(capsys, "inflect", "-x", "0.5,2.5", "--json")
@@ -123,6 +132,7 @@ class TestInflect:
         assert len(roots) == 1
         assert roots[0]["p_star"] == pytest.approx(1.0, abs=1e-9)
         assert record["results"]["parity_ok"] is True
+        assert record["inputs"]["scan"] == {"precision_mode": "auto"}
 
 
 class TestBound:
@@ -177,6 +187,13 @@ class TestVerify:
         rc, _, _ = run(capsys, "verify", "--scope", "bogus")
         assert rc == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one(self, capsys, samples):
+        rc, out, err = run(capsys, "verify", "--scope", "parity", "--samples", samples)
+        assert rc == 1
+        assert out == ""
+        assert "samples" in err
+
 
 class TestFigureData:
     @pytest.mark.parametrize("figure, roots, tol", [(1, (1.0,), 1e-9), (3, _FIG3_ROOTS, 1e-6)], ids=["1", "3"])
@@ -199,6 +216,39 @@ class TestFigureData:
     def test_unknown_figure(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "figure-data", "9", "--output-dir", str(tmp_path))
         assert rc == 1
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "4", "--seed", "3"),
+            ("eval", "-x", "1,2", "-p", "1", "--seed", "3"),
+            ("eval", "-x", "1,2", "-p", "1", "--precision", "extended"),
+            ("deriv", "-x", "1,2", "-p", "1", "--seed", "3"),
+            ("inflect", "-x", "1,2", "--seed", "3"),
+            ("verify", "--scope", "bounds", "--precision", "extended"),
+            ("figure-data", "1", "--precision", "auto"),
+            ("inflect", "-x", "1,2", "--tolerance", "1e-3"),
+            ("inflect", "-x", "1,2", "--max-half-width", "4"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1
+        assert "unrecognized arguments" in err
+
+    def test_commands_keep_the_flags_they_read(self, capsys):
+        rc, out, _ = run(capsys, "deriv", "-x", "1,2,3", "-p", "0.5", "--order", "2", "--precision", "extended")
+        assert rc == 0 and float(out) > 0.0
+        rc, out, _ = run(capsys, "inflect", "-x", "1,2,3", "--precision", "standard", "--json")
+        assert rc == 0 and json.loads(out)["inputs"]["scan"] == {"precision_mode": "standard"}
+        rc, out, _ = run(capsys, "search", "-n", "3", "--trials", "4", "--seed", "7", "--min-roots", "1",
+                         "--precision", "standard", "--json")
+        assert rc == 0 and json.loads(out)["inputs"]["seed"] == 7
+        rc, out, _ = run(capsys, "verify", "--scope", "bounds", "--seed", "5")
+        assert rc == 0 and "seed = 5" in out
 
 
 class TestOutputPlumbing:

@@ -11,7 +11,7 @@ from lehmer import (
     DegenerateError,
     NoInflectionError,
     RangeExhaustedError,
-    ScanConfig,
+    SearchConfig,
     UsageError,
     classify_n3_side,
     count_bound,
@@ -22,6 +22,7 @@ from lehmer import (
     weighted_n2_inflection,
 )
 from lehmer.calculus import _mp_curvature
+from lehmer import inflection
 from lehmer.inflection import (
     _MAX_BISECT_ITER,
     _SECTION_DEPTH,
@@ -33,6 +34,7 @@ from lehmer.inflection import (
     _bisect_all,
     _collect_brackets,
     _live_cells,
+    _report,
     _scan_many,
     _shape,
 )
@@ -63,28 +65,38 @@ class TestCountBound:
 
 
 class TestScanConfig:
+    """The scan's fixed policy and its one setting, the precision mode."""
+
     def test_defaults(self):
-        config = ScanConfig()
-        assert config.initial_half_width == 64.0
-        assert config.max_half_width == 1e6
-        assert config.grid_points_per_unit == 8.0
-        assert config.refine_tolerance == 1e-9
-        assert config.precision_mode == "auto"
+        assert inflection._INITIAL_HALF_WIDTH == 64.0
+        assert inflection._EXPANSION_FACTOR == 2.0
+        assert inflection._MAX_HALF_WIDTH == 1e6
+        assert inflection._GRID_POINTS_PER_UNIT == 8.0
+        assert inflection._REFINE_TOLERANCE == 1e-9
+        spec = make_spec([1.0, 2.0, 3.0])
+        assert find_inflections(spec) == find_inflections(spec, "auto")
+        assert SearchConfig().precision == "auto"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"initial_half_width": 0.0},
-            {"expansion_factor": 1.0},
-            {"max_half_width": 1.0},
-            {"grid_points_per_unit": -2.0},
-            {"refine_tolerance": 0.0},
-            {"precision_mode": "quad"},
+            {"precision": "quad"},
+            {"precision": ""},
+            {"precision": "Auto"},
+            {"precision": "extended "},
+            {"precision": None},
+            {"precision": 2},
         ],
     )
     def test_validation(self, kwargs):
+        # rejected before any scan, constant specs included
+        for spec in (make_spec([1.0, 2.0]), make_spec([3.0, 3.0])):
+            with pytest.raises(UsageError):
+                find_inflections(spec, **kwargs)
         with pytest.raises(UsageError):
-            ScanConfig(**kwargs)
+            _scan_many([make_spec([1.0, 2.0])], **kwargs)
+        with pytest.raises(UsageError):
+            SearchConfig(**kwargs)
 
 
 class TestPairs:
@@ -238,27 +250,66 @@ class TestErrorPaths:
             find_inflections(make_spec([5.0]))
 
     def test_range_exhaustion_carries_partial_report(self):
-        config = ScanConfig(initial_half_width=4.0, max_half_width=4.0)
+        # L stays more than 1e-6 from its asymptotes out to p = 1e6
         with pytest.raises(RangeExhaustedError) as excinfo:
-            find_inflections(make_spec([1.0, 2.0]), config)
+            find_inflections(make_spec([10.0, 10.00001]))
         report = excinfo.value.report
         assert report is not None
-        assert report.scan_range == (-4.0, 4.0)
+        assert report.scan_range == (-1e6, 1e6)
         assert any("exhausted" in w for w in report.warnings)
         # the root at p=1 is inside the partial window and still reported
         assert any(abs(r.p_star - 1.0) <= 1e-8 for r in report.roots)
 
 
+class TestReport:
+    def test_brackets_closer_than_the_tolerance_stay_two_roots(self):
+        # each bisected bracket is one root; an even count shows the pair
+        spec = make_spec(THREE_ROOT_VALUES)
+        brackets = [_Bracket(203.875, 204.0, 1, 0.0), _Bracket(204.0, 204.125, -1, 0.0)]
+        mids = np.array([204.0 - 5e-10, 204.0 + 5e-10])
+        report = _report(spec, brackets, mids, 8192.0, "standard", [])
+        assert [r.p_star for r in report.roots] == mids.tolist()
+        assert [r.bracket for r in report.roots] == [(203.875, 204.0), (204.0, 204.125)]
+        assert [r.direction for r in report.roots] == ["convex-to-concave", "concave-to-convex"]
+        assert not report.parity_ok
+        assert report.warnings == ()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e-200, 1e-150, 1e305],
+            [2.1019257329891337e-221, 3.0295754423730255e-202, 8.57918004760298e303],
+        ],
+    )
+    def test_local_scale_past_the_double_range(self, values):
+        # log|L''| near the root exceeds log(max double) = 709.78
+        spec = make_spec(values)
+        report = find_inflections(spec)
+        assert len(report.roots) == 1 and report.parity_ok
+        side = classify_n3_side(spec)
+        assert side == ("above_one" if report.roots[0].p_star > 1.0 else "below_one")
+
+    def test_escalation_test_keeps_its_decisions(self, rng):
+        from lehmer.inflection import _above_scale
+
+        for residual, log_scale in zip(np.exp(rng.uniform(-700.0, 709.0, 2000)), rng.uniform(-700.0, 709.7, 2000)):
+            assert _above_scale(residual, log_scale) == (residual > 1e-3 * math.exp(log_scale))
+        # past the double range the logs decide
+        assert _above_scale(1e307, 710.0)
+        assert not _above_scale(1e300, 710.0)
+        assert not _above_scale(0.0, 710.0)
+
+
 class TestPrecisionModes:
     def test_extended_mode_agrees(self):
         spec = make_spec([1.0, 2.0, 3.0])
-        fast = find_inflections(spec, ScanConfig(precision_mode="standard"))
-        slow = find_inflections(spec, ScanConfig(precision_mode="extended"))
+        fast = find_inflections(spec, "standard")
+        slow = find_inflections(spec, "extended")
         assert slow.precision_used == "extended"
         assert fast.roots[0].p_star == pytest.approx(slow.roots[0].p_star, abs=2e-9)
 
     def test_standard_mode_never_escalates(self):
-        report = find_inflections(make_spec([0.5, 2.5]), ScanConfig(precision_mode="standard"))
+        report = find_inflections(make_spec([0.5, 2.5]), "standard")
         assert report.precision_used == "standard"
 
 
@@ -529,9 +580,9 @@ def _outcome(outcome):
     return repr(outcome)
 
 
-def _scan_alone(spec, config):
+def _scan_alone(spec, precision):
     try:
-        return _outcome(find_inflections(spec, config))
+        return _outcome(find_inflections(spec, precision))
     except (NoInflectionError, RangeExhaustedError) as exc:
         return _outcome(exc)
 
@@ -598,18 +649,17 @@ class TestBatchIndependence:
             specs.append(make_spec([2.0, 2.0 + step, 2.0 + 2.0 * step, 2.0 + 3.0 * step], [1.0, 2.0, 0.5, 1.0]))
         specs.append(make_spec([3.0, 3.0, 3.0]))  # constant
         specs.append(make_spec([1e300, math.nextafter(1e300, math.inf)]))  # equal logs
-        specs.append(make_spec([1.0, 1.0 + 1e-6, 1.0 + 3e-6]))  # exhausts max_half_width
+        specs.append(make_spec([10.0, 10.00001]))  # exhausts the half-width cap, 1e6
         return [specs[k] for k in rng.permutation(len(specs))]
 
     @pytest.mark.parametrize("mode", ["auto", "standard", "extended"])
     def test_batch_outcomes_equal_single_scans(self, rng, mode):
-        config = ScanConfig(max_half_width=4096.0, precision_mode=mode)
         specs = self._batch_specs(rng)
-        alone = [_scan_alone(spec, config) for spec in specs]
+        alone = [_scan_alone(spec, mode) for spec in specs]
         for batch in (specs, specs[: len(specs) // 3], specs[len(specs) // 3 :]):
-            got = [_outcome(outcome) for outcome in _scan_many(batch, config)]
+            got = [_outcome(outcome) for outcome in _scan_many(batch, mode)]
             assert got == [alone[specs.index(spec)] for spec in batch]
         kinds = [text.split("(", 1)[0] for text in alone]
         assert kinds.count("NoInflectionError") == 2 and "RangeExhaustedError" in kinds
         halves = {float(text.split("scan_range=(-", 1)[1].split(",", 1)[0]) for text in alone if "scan_range" in text}
-        assert {64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0} <= halves
+        assert {64.0, 128.0, 256.0, 512.0, 1024.0, 1e6} <= halves

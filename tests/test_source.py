@@ -1,6 +1,7 @@
 """Static checks on the package source that no installed linter makes."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -25,3 +26,14 @@ def test_no_top_level_name_defined_twice(path):
 
 def test_package_source_found():
     assert "__init__.py" in {path.name for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_exported_name_resolves_once(path):
+    name = "lehmer" if path.stem == "__init__" else f"lehmer.{path.stem}"
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    twice = sorted(n for n, count in Counter(exported).items() if count > 1)
+    missing = sorted(n for n in exported if not hasattr(module, n))
+    assert not twice, f"{name}.__all__ lists {', '.join(twice)} more than once"
+    assert not missing, f"{name}.__all__ lists {', '.join(missing)}, which {name} does not define"

@@ -16,6 +16,12 @@ class TestScopes:
         with pytest.raises(UsageError):
             run_checks("nonsense")
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one(self, samples):
+        # a check over no samples would pass without checking anything
+        with pytest.raises(UsageError):
+            run_checks("parity", samples=samples)
+
 
 class TestResults:
     def test_bounds_scope_passes(self):
