@@ -30,18 +30,24 @@ not. The p-independent constants of the pairwise terms are kept per spec
 (MeanSpec.pair_table) and shared with L'.
 
 Each exponent gets one table of powers (core._powers: the shifted terms
-w_i x_i^p, their largest and their exact sum), and the tables of p and p-1
-serve L, m_1, m_2 and L' alike. The 50-digit path likewise computes the
-powers w_i x_i^p and w_i x_i^(p-1) once per call and shares them among the
-four moments and L; the values, weights, logs and squared logs it needs at
-the working precision are kept for the last few specs, so a bisection or a
-finite-difference oracle that asks about one spec many times converts and
-takes logs only once. Both paths round exactly as separate passes would.
+w_i x_i^p, their largest and their exact sum). An evaluation point
+(core._point) is the tables of p and p-1 together with L(p); they serve
+L, m_1, m_2, L' and L'' alike, and the last point is kept, so that L, L'
+and L'' asked at the same (spec, p) build the two tables once. The moments
+read the squared logs from MeanSpec.log_powers. The 50-digit path likewise
+computes the powers w_i x_i^p and w_i x_i^(p-1) once per call and shares
+them among the four moments and L; the values, weights, logs and squared
+logs it needs at the working precision are kept for the last few specs, so
+a bisection or a finite-difference oracle that asks about one spec many
+times converts and takes logs only once. Both paths round exactly as
+separate passes would.
 
 For two and three values the module also provides the closed forms of L''
 and, for n=3, the constant K, the bracketed factor tilde_l whose single root
 is the inflection point, its derivative, and the three inequality slacks
-that certify tilde_l is decreasing.
+that certify tilde_l is decreasing. The n=3 forms take a quotient x_i/x_j
+that is not a normal double from the logs of the values, and a term that
+leaves the double range from differences scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -50,11 +56,11 @@ import functools
 import math
 import sys
 from math import exp, fsum, log
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 
-from .core import MeanSpec, _lehmer_value, _powers
+from .core import MeanSpec, _lehmer_value, _point, _powers
 from .errors import UsageError
 
 
@@ -84,7 +90,7 @@ _EXTENDED_DPS = 50
 def _table_moment(spec: MeanSpec, table: tuple, k: int) -> float:
     """m_k at the exponent of table = _powers(spec, p), for k = 1 or 2."""
     _, _, u, s = table
-    return fsum(ui * li**k for ui, li in zip(u, spec.log_values)) / s
+    return fsum(ui * lk for ui, lk in zip(u, spec.log_powers[k - 1])) / s
 
 
 def log_moment(spec: MeanSpec, p: float, k: int) -> float:
@@ -114,19 +120,15 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
     from MeanSpec.log_ratios, so values a few ulps apart keep their digits.
     """
     p = float(p)
+    (a_p, top_p, _, su), (a_q, top_q, _, sv), value = _point(spec, p)
     if spec.is_constant:
         return 0.0
     q = p - 1.0
     ts = [g + q * sl + lr for _, _, g, sl, lr in spec.pair_table]
-    tp = _powers(spec, p)
-    tq = _powers(spec, q)
     t_max = max(ts)
-    a_p, top_p, _, su = tp
-    a_q, top_q, _, sv = tq
     shift = t_max - a_p[top_p] - a_q[top_q]
     s = fsum(exp(t - t_max) for t in ts)
     delta = exp(shift) * s / (su * sv)
-    value = _lehmer_value(spec, p, tp, tq)
     if delta < sys.float_info.min:
         # a subnormal L'/L has lost digits: put L into the exponent instead
         return exp(shift + log(value)) * s / (su * sv)
@@ -157,6 +159,7 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
     """
     p = float(p)
     _check_precision(precision)
+    tp, tq, mean = _point(spec, p)
     if spec.is_constant:
         return 0.0
     if precision == "extended":
@@ -164,8 +167,6 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
         if value is None:
             value = _pairwise_second_derivative(spec, p)
         return 0.0 if value is None else value
-    tp = _powers(spec, p)
-    tq = _powers(spec, p - 1.0)
     m1p = _table_moment(spec, tp, 1)
     m1q = _table_moment(spec, tq, 1)
     m2p = _table_moment(spec, tp, 2)
@@ -181,7 +182,7 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
             # below the 50-digit floor the value is noise: reporting it
             # signed would contradict the closed forms
             return 0.0 if value is None else value
-    return _lehmer_value(spec, p, tp, tq) * bracket
+    return mean * bracket
 
 
 def _pairwise_second_derivative(spec: MeanSpec, p: float) -> float | None:
@@ -366,10 +367,11 @@ def k_constant(spec: MeanSpec) -> float:
     Symmetric under value permutations. L''(1) = K / 27, so the sign of K
     tells on which side of p = 1 the unique inflection point lies
     (negative means below). K is zero when all three values are equal,
-    and for distinct values whose inflection point is p = 1 itself.
+    and for distinct values whose inflection point is p = 1 itself. It is
+    ±inf only where it is beyond the largest double (see _in_double_range).
     """
     _require_n3(spec)
-    return _k_value(spec)
+    return _in_double_range(spec, lambda d: (_k_sum(spec, d),))[0]
 
 
 def _log_quotient(a: float, b: float, log_a: float, log_b: float) -> float:
@@ -382,38 +384,93 @@ def _log_quotient(a: float, b: float, log_a: float, log_b: float) -> float:
     return log_a - log_b
 
 
-def _k_value(spec: MeanSpec) -> float:
+def _k_sum(spec: MeanSpec, d: tuple[float, float, float]) -> float:
+    """K, with d = (x1 - x2, x1 - x3, x2 - x3) or those scaled; see _in_double_range."""
     (x1, x2, x3), (l1, l2, l3) = spec.values, spec.log_values
     return fsum(
         (
-            (x1 - x2) * _log_quotient(x1, x2, l1, l2) * _log_quotient(x1 * x2, x3 * x3, l1 + l2, 2.0 * l3),
-            (x1 - x3) * _log_quotient(x1, x3, l1, l3) * _log_quotient(x1 * x3, x2 * x2, l1 + l3, 2.0 * l2),
-            (x2 - x3) * _log_quotient(x2, x3, l2, l3) * _log_quotient(x2 * x3, x1 * x1, l2 + l3, 2.0 * l1),
+            d[0] * _log_quotient(x1, x2, l1, l2) * _log_quotient(x1 * x2, x3 * x3, l1 + l2, 2.0 * l3),
+            d[1] * _log_quotient(x1, x3, l1, l3) * _log_quotient(x1 * x3, x2 * x2, l1 + l3, 2.0 * l2),
+            d[2] * _log_quotient(x2, x3, l2, l3) * _log_quotient(x2 * x3, x1 * x1, l2 + l3, 2.0 * l1),
         )
     )
+
+
+def _in_double_range(
+    spec: MeanSpec, f: Callable[[tuple[float, float, float]], tuple[float, ...]]
+) -> tuple[float, ...]:
+    """f(d) for a function f that is linear in d = (x1 - x2, x1 - x3, x2 - x3).
+
+    K, tilde_l, tilde_l' and the slacks are such functions of a triple.
+    Where every value f returns is 0 or a normal double, they are returned
+    as they are. Where a term leaves the double range (a value is then ±inf,
+    nan or below the normal range, or fsum raises), f is taken again with d
+    scaled by the power of two that brings the largest x_i below 1, and that
+    power is put back last: a value is ±inf only where it is beyond the
+    largest double.
+    """
+    x1, x2, x3 = spec.values
+    tiny = sys.float_info.min
+    try:
+        values = f((x1 - x2, x1 - x3, x2 - x3))
+        if all(v == 0.0 or tiny <= abs(v) < math.inf for v in values):
+            return values
+    except (OverflowError, ValueError):  # fsum of terms beyond the double range
+        pass
+    e = math.frexp(max(x1, x2, x3))[1]
+    scaled = f((math.ldexp(x1 - x2, -e), math.ldexp(x1 - x3, -e), math.ldexp(x2 - x3, -e)))
+    return tuple(_ldexp_or_inf(v, e) for v in scaled)
+
+
+def _ldexp_or_inf(v: float, e: int) -> float:
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _quotients(spec: MeanSpec, q: float) -> tuple[list[list[float]], list[list[float]]]:
+    """log(x_i / x_j) and (x_i / x_j)^q for every i, j, as lq[i][j] and pq[i][j].
+
+    Where x_i / x_j is a normal double both come from it, as in the plain
+    formulas. Where it is not, the quotient has lost digits or become 0 or
+    inf, so the log is taken as log x_i - log x_j (see _log_quotient) and
+    the power as exp(q) of that log. A power beyond the largest double
+    raises OverflowError.
+    """
+    tiny = sys.float_info.min
+    x, l = spec.values, spec.log_values
+    lq = [[_log_quotient(xi, xj, li, lj) for xj, lj in zip(x, l)] for xi, li in zip(x, l)]
+    pq = [
+        [pow(xi / xj, q) if tiny <= xi / xj < math.inf else exp(q * lij) for xj, lij in zip(x, row)]
+        for xi, row in zip(x, lq)
+    ]
+    return lq, pq
 
 
 def tilde_l(spec: MeanSpec, p: float) -> float:
     """Bracketed factor of the three-value L''; strictly decreasing in p.
 
     Its unique root is the inflection point; at p = 1 the exponential
-    differences vanish exactly and the value reduces to K. The quotients
-    x_i / x_j are taken in doubles: where one leaves the double range (for
-    example 1e-200, 1e-150, 1e305) it raises ValueError or
-    ZeroDivisionError, or returns a value that is not finite.
+    differences vanish exactly and the value reduces to K. Quotients
+    x_i / x_j that leave the double range are taken from the logs of the
+    values (_quotients), and terms that leave it are scaled
+    (_in_double_range): the value is ±inf only where it is beyond the
+    largest double.
     """
     _require_n3(spec)
-    p = float(p)
-    x1, x2, x3 = spec.values
-    q = p - 1.0
-    return fsum(
-        (
-            (pow(x2 / x3, q) - pow(x1 / x3, q)) * (x1 - x2) * log(x1 / x2) ** 2,
-            (pow(x3 / x2, q) - pow(x1 / x2, q)) * (x1 - x3) * log(x1 / x3) ** 2,
-            (pow(x3 / x1, q) - pow(x2 / x1, q)) * (x2 - x3) * log(x2 / x3) ** 2,
-            _k_value(spec),
+    lq, pq = _quotients(spec, float(p) - 1.0)
+
+    def value(d):
+        terms = (
+            (pq[1][2] - pq[0][2]) * d[0] * lq[0][1] ** 2,
+            (pq[2][1] - pq[0][1]) * d[1] * lq[0][2] ** 2,
+            (pq[2][0] - pq[1][0]) * d[2] * lq[1][2] ** 2,
+            _k_sum(spec, d),
         )
-    )
+        return (fsum(terms),)
+
+    return _in_double_range(spec, value)[0]
 
 
 def second_derivative_n3(spec: MeanSpec, p: float) -> float:
@@ -431,27 +488,18 @@ def second_derivative_n3(spec: MeanSpec, p: float) -> float:
 
 def tilde_l_prime(spec: MeanSpec, p: float) -> float:
     """Derivative of tilde_l; non-positive for every p, strictly negative
-    when the three values are pairwise distinct."""
+    when the three values are pairwise distinct. Taken in the double range
+    as tilde_l is."""
     _require_n3(spec)
-    p = float(p)
-    x1, x2, x3 = spec.values
-    q = p - 1.0
-    g1 = (
-        log(x2 / x1)
-        * log(x2 / x3)
-        * (pow(x2 / x3, q) * (x1 - x2) * log(x2 / x1) + pow(x2 / x1, q) * (x2 - x3) * log(x3 / x2))
-    )
-    g2 = (
-        log(x2 / x1)
-        * log(x3 / x1)
-        * (pow(x1 / x3, q) * (x1 - x2) * log(x2 / x1) + pow(x1 / x2, q) * (x1 - x3) * log(x3 / x1))
-    )
-    g3 = (
-        log(x3 / x1)
-        * log(x3 / x2)
-        * (pow(x3 / x2, q) * (x1 - x3) * log(x3 / x1) + pow(x3 / x1, q) * (x2 - x3) * log(x3 / x2))
-    )
-    return fsum((g1, g2, g3))
+    lq, pq = _quotients(spec, float(p) - 1.0)
+
+    def value(d):
+        g1 = lq[1][0] * lq[1][2] * (pq[1][2] * d[0] * lq[1][0] + pq[1][0] * d[2] * lq[2][1])
+        g2 = lq[1][0] * lq[2][0] * (pq[0][2] * d[0] * lq[1][0] + pq[0][1] * d[1] * lq[2][0])
+        g3 = lq[2][0] * lq[2][1] * (pq[2][1] * d[1] * lq[2][0] + pq[2][0] * d[2] * lq[2][1])
+        return (fsum((g1, g2, g3)),)
+
+    return _in_double_range(spec, value)[0]
 
 
 def n3_inequalities(spec: MeanSpec, p: float) -> N3Slacks:
@@ -460,22 +508,22 @@ def n3_inequalities(spec: MeanSpec, p: float) -> N3Slacks:
 
     Every product (x_i - x_j) log(x_j / x_i) is non-positive by sign
     matching, so each left side is <= 0, each right side is >= 0, and the
-    slack is a sum of non-negative quantities with no cancellation. The
-    quotients x_i / x_j are taken in doubles: where one leaves the double
-    range it raises ValueError or ZeroDivisionError, or returns slacks that
-    are not finite.
+    slack is a sum of non-negative quantities with no cancellation. Taken
+    in the double range as tilde_l is.
     """
     _require_n3(spec)
-    p = float(p)
-    x1, x2, x3 = spec.values
-    q = p - 1.0
-    lhs_a = pow(x2 / x3, q) * (x1 - x2) * log(x2 / x1) + pow(x2 / x1, q) * (x2 - x3) * log(x3 / x2)
-    rhs_a = (x1 - x3) * log(x1 / x3)
-    lhs_b = pow(x1 / x3, q) * (x1 - x2) * log(x2 / x1) + pow(x1 / x2, q) * (x1 - x3) * log(x3 / x1)
-    rhs_b = (x2 - x3) * log(x2 / x3)
-    lhs_c = pow(x3 / x2, q) * (x1 - x3) * log(x3 / x1) + pow(x3 / x1, q) * (x2 - x3) * log(x3 / x2)
-    rhs_c = (x1 - x2) * log(x1 / x2)
-    return N3Slacks(rhs_a - lhs_a, rhs_b - lhs_b, rhs_c - lhs_c)
+    lq, pq = _quotients(spec, float(p) - 1.0)
+
+    def value(d):
+        lhs_a = pq[1][2] * d[0] * lq[1][0] + pq[1][0] * d[2] * lq[2][1]
+        rhs_a = d[1] * lq[0][2]
+        lhs_b = pq[0][2] * d[0] * lq[1][0] + pq[0][1] * d[1] * lq[2][0]
+        rhs_b = d[2] * lq[1][2]
+        lhs_c = pq[2][1] * d[1] * lq[2][0] + pq[2][0] * d[2] * lq[2][1]
+        rhs_c = d[0] * lq[0][1]
+        return (rhs_a - lhs_a, rhs_b - lhs_b, rhs_c - lhs_c)
+
+    return N3Slacks(*_in_double_range(spec, value))
 
 
 # ---------------------------------------------------------------------------

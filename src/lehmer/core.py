@@ -117,7 +117,17 @@ class MeanSpec:
                 table.append((i, j, lw[i] + lw[j], l[i] + l[j], lr))
         return tuple(table)
 
-    @property
+    @cached_property
+    def log_powers(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(log x_i)^k for k = 1 and 2, the weights of the log-moments m_k."""
+        return tuple(tuple(li**k for li in self.log_values) for k in (1, 2))
+
+    @cached_property
+    def bounds(self) -> tuple[float, float]:
+        """(min x, max x): L lies between them and tends to them as p -> -inf, +inf."""
+        return min(self.values), max(self.values)
+
+    @cached_property
     def is_constant(self) -> bool:
         """True when the mean is the constant function (all values equal)."""
         first = self.values[0]
@@ -171,31 +181,54 @@ def lehmer(spec: MeanSpec, p: float) -> float:
     only ever moves the result by rounding-level amounts since the exact mean
     lies in that interval for every p.
     """
-    p = float(p)
+    return _point(spec, float(p))[2]
+
+
+# (spec, p, (tp, tq, L)) of the last point evaluated; see _point
+_last_point: tuple = (None, None, None)
+
+
+def _point(spec: MeanSpec, p: float) -> tuple[tuple, tuple, float]:
+    """(tp, tq, L) at one evaluation point: _powers(spec, p), _powers(spec, p - 1.0)
+    and L(p). Raises DomainError for non-finite p.
+
+    L, L' and L'' asked at the same point read the same two tables. The last
+    point is kept in one slot, replaced as a single tuple so that a thread
+    never reads one point's tables with another's key; it hits only for the
+    same spec object and an equal p. The tables of 0.0 and -0.0 are the same.
+    """
+    global _last_point
     if not math.isfinite(p):
         raise DomainError(f"exponent must be finite, got {p!r}")
-    return _lehmer_value(spec, p)
+    last_spec, last_p, record = _last_point
+    if spec is last_spec and p == last_p:
+        return record
+    tp = _powers(spec, p)
+    tq = _powers(spec, p - 1.0)
+    record = (tp, tq, _lehmer_value(spec, p, tp, tq))
+    _last_point = (spec, p, record)
+    return record
 
 
-def _powers(spec: MeanSpec, p: float) -> tuple[list[float], int, list[float], float]:
+def _powers(spec: MeanSpec, p: float) -> tuple[tuple[float, ...], int, tuple[float, ...], float]:
     """The shifted terms of sum_i w_i x_i^p for one exponent p: (a, top, u, s).
 
     a[i] = log w_i + p log x_i, top is the index of the first largest a[i],
     u[i] = exp(a[i] - a[top]) and s = fsum(u), so the sum is exp(a[top]) * s.
     L, the log-moments and both derivatives are all read from the tables of
-    p and p - 1. A plain tuple: building a named one twice per call would
-    cost L more than sharing the table saves.
+    p and p - 1 (see _point). A plain tuple: building a named one twice per
+    call would cost L more than sharing the table saves. Its fields are
+    tuples too, since the tables of a point are shared by every caller.
     """
-    a = [lwi + p * li for lwi, li in zip(spec.log_weights, spec.log_values)]
+    a = tuple([lwi + p * li for lwi, li in zip(spec.log_weights, spec.log_values)])
     shift = max(a)
-    u = [math.exp(ai - shift) for ai in a]
+    u = tuple([math.exp(ai - shift) for ai in a])
     return a, a.index(shift), u, math.fsum(u)
 
 
 def _lehmer_value(spec: MeanSpec, p: float, num: tuple | None = None, den: tuple | None = None) -> float:
     """L(p); num and den, when given, are _powers(spec, p) and _powers(spec, p - 1.0)."""
-    lo = min(spec.values)
-    hi = max(spec.values)
+    lo, hi = spec.bounds
     if lo == hi:
         return lo
     l = spec.log_values
@@ -222,7 +255,7 @@ def _lehmer_value(spec: MeanSpec, p: float, num: tuple | None = None, den: tuple
 
 def asymptotes(spec: MeanSpec) -> Asymptotes:
     """Horizontal asymptotes of L: (min of values, max of values)."""
-    return Asymptotes(lower=min(spec.values), upper=max(spec.values))
+    return Asymptotes(*spec.bounds)
 
 
 def scale_spec(spec: MeanSpec, c: float) -> MeanSpec:

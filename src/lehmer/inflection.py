@@ -224,11 +224,24 @@ class _Kernel:
         return np.sign(qsum).astype(np.int8), logmag
 
 
-def _mp_sign(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> int:
-    """Sign of L''(p) at dps digits; L > 0, so the bracket's sign suffices."""
-    with mp.workdps(dps):
-        bracket, _, _ = _mp_curvature(spec, mp.mpf(p))
-        return int(mp.sign(bracket))
+def _mp_sign(spec: MeanSpec, p: float) -> int:
+    """Sign of L''(p) from the bracket; L > 0, so the bracket's sign suffices.
+
+    The bracket is taken at 50 digits. Where the terms w_i x_i^p and
+    w_i x_i^(p-1) spread over more decades than that, the smaller ones vanish
+    from the sums, and the bracket cancels to 0 or to noise away from any
+    root. Below its noise floor it is taken again with as many more digits
+    as the terms spread over; a bracket still below the floor there is a
+    root to those digits, and its sign is 0.
+    """
+    l, lw = spec.log_values, spec.log_weights
+    spread = max(abs(p), abs(p - 1.0)) * (max(l) - min(l)) + (max(lw) - min(lw))
+    for dps in (_EXTENDED_DPS, _EXTENDED_DPS + math.ceil(spread / math.log(10.0))):
+        with mp.workdps(dps):
+            bracket, scale, _ = _mp_curvature(spec, mp.mpf(p))
+            if abs(bracket) >= mp.mpf(10) ** (8 - dps) * scale:
+                return int(mp.sign(bracket))
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Derivatives in the exponent: log-moments, closed forms, inequalities."""
 
+import itertools
 import math
 import sys
+import threading
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from lehmer import (
+    DomainError,
     UsageError,
     fd_second_derivative,
     find_inflections,
@@ -23,7 +26,7 @@ from lehmer import (
     tilde_l,
     tilde_l_prime,
 )
-from lehmer import calculus
+from lehmer import calculus, core
 from lehmer.calculus import (
     _CANCELLATION_LIMIT,
     _EXTENDED_DPS,
@@ -377,6 +380,120 @@ class TestOnePassDoublePath:
         assert checked == 420
 
 
+class TestOnePoint:
+    """L, L' and L'' at one (spec, p) share one pair of power tables (core._point)."""
+
+    CALLS = {
+        "L": lehmer,
+        "L'": first_derivative,
+        "L''": second_derivative,
+    }
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(("L", "L'", "L''"))), ids=",".join)
+    def test_two_tables_per_point(self, monkeypatch, order):
+        spec = make_spec([1.0259, 1.0241, 1.0244, 0.96], [1.0, 2.0, 0.5, 1.5])
+        calls = []
+        powers = core._powers
+
+        def counted(spec, p):
+            calls.append(p)
+            return powers(spec, p)
+
+        monkeypatch.setattr(core, "_powers", counted)
+        monkeypatch.setattr(calculus, "_powers", counted)
+        for p in (0.5, -7.25, 13.0):
+            lehmer(make_spec([2.0, 3.0]), p)  # another spec in between: a cold slot
+            calls.clear()
+            values = {name: self.CALLS[name](spec, p) for name in order}
+            assert sorted(calls) == [p - 1.0, p], (order, p)
+            assert values["L"] == _ref_lehmer(spec, p)
+            # the shared tables cannot be changed by a caller
+            for a, _, u, _ in core._point(spec, p)[:2]:
+                assert type(a) is tuple and type(u) is tuple
+
+    @staticmethod
+    def _cold(fn, spec, p, *args):
+        lehmer(make_spec([2.0, 3.0]), 0.25)  # another spec in between: a cold slot
+        return fn(spec, p, *args).hex()
+
+    def test_bit_identical_to_a_cold_slot(self, rng):
+        specs = _one_pass_specs(rng) + [make_spec(v) for v in _WIDE_FIXED]
+        specs.append(make_spec([1.0, 1.0 + 2**-50, 1.0 + 2**-49]))  # pairwise and 50-digit paths
+        checked = 0
+        for spec in specs:
+            for p in (0.0, -0.0, 1.0, float(rng.uniform(-30.0, 30.0)), -600.0, 1500.5):
+                for precision in ("auto", "standard", "extended"):
+                    warm = (
+                        lehmer(spec, p).hex(),
+                        first_derivative(spec, p).hex(),
+                        second_derivative(spec, p, precision).hex(),
+                        lehmer(spec, p).hex(),
+                    )
+                    cold = (
+                        self._cold(lehmer, spec, p),
+                        self._cold(first_derivative, spec, p),
+                        self._cold(second_derivative, spec, p, precision),
+                        self._cold(lehmer, spec, p),
+                    )
+                    assert warm == cold, (spec, p, precision)
+                    checked += 1
+        assert checked == 64 * 6 * 3
+
+    def test_threads_get_the_sequential_values(self):
+        # more threads than cores, each on its own spec, switching every microsecond
+        specs = [
+            make_spec([0.5, 2.5], [1.0, 3.0]),
+            make_spec([1.0259, 1.0241, 1.0244, 0.96]),
+            make_spec([1.0, 2.0, 3.0]),
+            make_spec([1e-5, 1.0, 1e5], [2.0, 1.0, 0.5]),
+        ]
+        grid = [-40.0 + 0.25 * k for k in range(321)]
+
+        def curve(spec):
+            return [(lehmer(spec, p), first_derivative(spec, p), second_derivative(spec, p)) for p in grid]
+
+        sequential = [curve(spec) for spec in specs]
+        results = [None] * len(specs)
+        start = threading.Barrier(len(specs))
+
+        def run(k):
+            start.wait()
+            results[k] = [curve(specs[k]) for _ in range(30)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(len(specs)):
+            assert results[k] == [sequential[k]] * 30, specs[k]
+
+
+class TestNonFiniteExponent:
+    """Every public call at one point rejects a non-finite p, as lehmer does."""
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("values", [[0.5, 2.5], [2.0, 2.0]])
+    def test_rejected(self, p, values):
+        spec = make_spec(values)
+        calls = [lehmer, first_derivative] + [
+            lambda s, p, precision=precision: second_derivative(s, p, precision)
+            for precision in ("standard", "extended", "auto")
+        ]
+        for fn in calls:
+            with pytest.raises(DomainError):
+                fn(spec, p)
+        # nothing of the rejected point is kept
+        assert second_derivative(spec, 1.0) == 0.0
+        assert lehmer(spec, 1.0) == _ref_lehmer(spec, 1.0)
+
+
 _CURVE_GRID = tuple(-40.0 + 0.5 * k for k in range(161))
 _WIDE_FIXED = ([0.5, 2.5], [1e-5, 1e5], [1e-50, 1.0, 1e50])
 
@@ -706,6 +823,133 @@ class TestTripleClosedForm:
                 fn(make_spec([1.0, 2.0]))
             with pytest.raises(UsageError):
                 fn(make_spec([1.0, 2.0, 3.0], [1.0, 2.0, 1.0]))
+
+
+def _plain_n3(values, p):
+    """tilde_l, tilde_l' and the slacks with every quotient taken in doubles."""
+    x1, x2, x3 = values
+    q = p - 1.0
+    log, fsum = math.log, math.fsum
+    k = fsum(
+        (
+            (x1 - x2) * log(x1 / x2) * log(x1 * x2 / (x3 * x3)),
+            (x1 - x3) * log(x1 / x3) * log(x1 * x3 / (x2 * x2)),
+            (x2 - x3) * log(x2 / x3) * log(x2 * x3 / (x1 * x1)),
+        )
+    )
+    t = fsum(
+        (
+            (pow(x2 / x3, q) - pow(x1 / x3, q)) * (x1 - x2) * log(x1 / x2) ** 2,
+            (pow(x3 / x2, q) - pow(x1 / x2, q)) * (x1 - x3) * log(x1 / x3) ** 2,
+            (pow(x3 / x1, q) - pow(x2 / x1, q)) * (x2 - x3) * log(x2 / x3) ** 2,
+            k,
+        )
+    )
+    g1 = log(x2 / x1) * log(x2 / x3) * (pow(x2 / x3, q) * (x1 - x2) * log(x2 / x1) + pow(x2 / x1, q) * (x2 - x3) * log(x3 / x2))
+    g2 = log(x2 / x1) * log(x3 / x1) * (pow(x1 / x3, q) * (x1 - x2) * log(x2 / x1) + pow(x1 / x2, q) * (x1 - x3) * log(x3 / x1))
+    g3 = log(x3 / x1) * log(x3 / x2) * (pow(x3 / x2, q) * (x1 - x3) * log(x3 / x1) + pow(x3 / x1, q) * (x2 - x3) * log(x3 / x2))
+    lhs_a = pow(x2 / x3, q) * (x1 - x2) * log(x2 / x1) + pow(x2 / x1, q) * (x2 - x3) * log(x3 / x2)
+    lhs_b = pow(x1 / x3, q) * (x1 - x2) * log(x2 / x1) + pow(x1 / x2, q) * (x1 - x3) * log(x3 / x1)
+    lhs_c = pow(x3 / x2, q) * (x1 - x3) * log(x3 / x1) + pow(x3 / x1, q) * (x2 - x3) * log(x3 / x2)
+    slacks = ((x1 - x3) * log(x1 / x3) - lhs_a, (x2 - x3) * log(x2 / x3) - lhs_b, (x1 - x2) * log(x1 / x2) - lhs_c)
+    return (t, fsum((g1, g2, g3))) + slacks
+
+
+def _mp_n3(values, p):
+    """(value, size) at 80 digits of tilde_l, tilde_l' and each slack, where
+    size is the sum of the absolute terms: the scale of the rounding."""
+    with mp.workdps(80):
+        x1, x2, x3 = (mp.mpf(v) for v in values)
+        q = mp.mpf(p) - 1
+
+        def lg(a, b):
+            return mp.log(a / b)
+
+        def pw(a, b):
+            return mp.power(a / b, q)
+
+        k_terms = [
+            (x1 - x2) * lg(x1, x2) * lg(x1 * x2, x3 * x3),
+            (x1 - x3) * lg(x1, x3) * lg(x1 * x3, x2 * x2),
+            (x2 - x3) * lg(x2, x3) * lg(x2 * x3, x1 * x1),
+        ]
+        t_terms = k_terms + [
+            (pw(x2, x3) - pw(x1, x3)) * (x1 - x2) * lg(x1, x2) ** 2,
+            (pw(x3, x2) - pw(x1, x2)) * (x1 - x3) * lg(x1, x3) ** 2,
+            (pw(x3, x1) - pw(x2, x1)) * (x2 - x3) * lg(x2, x3) ** 2,
+        ]
+        # tilde_l' and the slacks: every left side, term by term
+        lhs = [
+            [pw(x2, x3) * (x1 - x2) * lg(x2, x1), pw(x2, x1) * (x2 - x3) * lg(x3, x2)],
+            [pw(x1, x3) * (x1 - x2) * lg(x2, x1), pw(x1, x2) * (x1 - x3) * lg(x3, x1)],
+            [pw(x3, x2) * (x1 - x3) * lg(x3, x1), pw(x3, x1) * (x2 - x3) * lg(x3, x2)],
+        ]
+        weights = [lg(x2, x1) * lg(x2, x3), lg(x2, x1) * lg(x3, x1), lg(x3, x1) * lg(x3, x2)]
+        g_terms = [w * t for w, terms in zip(weights, lhs) for t in terms]
+        rhs = [(x1 - x3) * lg(x1, x3), (x2 - x3) * lg(x2, x3), (x1 - x2) * lg(x1, x2)]
+        slacks = [[r] + [-t for t in terms] for r, terms in zip(rhs, lhs)]
+        return [(mp.fsum(terms), mp.fsum(abs(t) for t in terms)) for terms in [t_terms, g_terms] + slacks]
+
+
+def _n3_values(spec, p):
+    return (tilde_l(spec, p), tilde_l_prime(spec, p)) + tuple(n3_inequalities(spec, p))
+
+
+class TestTriplesBeyondTheDoubleRange:
+    """tilde_l, tilde_l' and the slacks where a quotient x_i / x_j or a term
+    leaves the double range."""
+
+    @pytest.mark.parametrize(
+        "values, p, expected",
+        [
+            ([1e-160, 1.0, 1e160], 0.999, 8.452682740272058e165),
+            ([1e-160, 1.0, 1e160], 1.001, -8.934898624024435e164),
+        ],
+    )
+    def test_quotient_past_the_double_range(self, values, p, expected):
+        # the plain formula gives 9.102e165 and -inf: pow(inf, q) drops a term
+        assert tilde_l(make_spec(values), p) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.999, 1.0, 1.001])
+    def test_value_past_the_double_range(self, p):
+        # the plain formula raises ZeroDivisionError or ValueError here
+        values = [1e-200, 1e-150, 1e305]
+        got = _n3_values(make_spec(values), p)
+        for g, (value, _) in zip(got, _mp_n3(values, p)):
+            if abs(value) > sys.float_info.max:
+                assert g == math.copysign(math.inf, value)
+            else:
+                assert g == pytest.approx(float(value), rel=1e-12)
+
+    def test_bit_identical_in_range(self, rng):
+        for _ in range(300):
+            values = np.exp(rng.uniform(-10.0, 10.0, 3) * rng.choice([1e-6, 1e-2, 1.0])).tolist()
+            p = float(rng.uniform(-20.0, 20.0))
+            assert _n3_values(make_spec(values), p) == _plain_n3(values, p), (values, p)
+
+    def test_against_80_digits(self, rng):
+        tiny = sys.float_info.min
+        beyond = 0
+        for _ in range(300):
+            values = (10.0 ** rng.uniform(-320.0, 308.0, 3)).tolist()
+            if rng.random() < 0.3:
+                values[1] = values[0] * float(rng.uniform(0.5, 2.0))
+            spec = make_spec(values)
+            spread = max(spec.log_values) - min(spec.log_values)
+            p = 1.0 + float(rng.uniform(-1.0, 1.0)) * min(5.0, 600.0 / spread)
+            for g, (value, size) in zip(_n3_values(spec, p), _mp_n3(values, p)):
+                if abs(value) > sys.float_info.max:
+                    assert g == math.copysign(math.inf, value), (values, p)
+                    beyond += 1
+                else:
+                    assert math.isfinite(g), (values, p)
+                    assert abs(g - float(value)) <= 1e-12 * float(size) + 2 * tiny * sys.float_info.epsilon, (values, p)
+        assert beyond > 0
+
+    def test_constant_still_the_value_at_one(self, rng):
+        for _ in range(100):
+            spec = make_spec((10.0 ** rng.uniform(-320.0, 308.0, 3)).tolist())
+            assert tilde_l(spec, 1.0) == k_constant(spec)
 
 
 class TestInequalities:

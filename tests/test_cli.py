@@ -123,6 +123,11 @@ class TestInflect:
         assert len(results["roots"]) == 1
         assert results["side"] == side
 
+    def test_extended_root_of_values_past_fifty_decades(self, capsys):
+        rc, out, _ = run(capsys, "inflect", "-x", "1e-200,1e-150,1e305", "--precision", "extended")
+        assert rc == 0
+        assert "p* = 1.00062281 " in out
+
     def test_json_roots(self, capsys):
         rc, out, _ = run(capsys, "inflect", "-x", "0.5,2.5", "--json")
         assert rc == 0

@@ -312,6 +312,29 @@ class TestPrecisionModes:
         report = find_inflections(make_spec([0.5, 2.5]), "standard")
         assert report.precision_used == "standard"
 
+    @pytest.mark.parametrize(
+        "values, root",
+        [
+            # roots from a bisection of the bracket at 1500 digits
+            ([1e-200, 1e-150, 1e305], 1.0006228063675012),
+            ([2.1019257329891337e-221, 3.0295754423730255e-202, 8.57918004760298e303], 1.0005839749148068),
+        ],
+    )
+    def test_extended_bisection_past_fifty_decades(self, values, root):
+        # at p = 1.125 the terms spread over some 570 decades, and the 50-digit
+        # bracket cancels to exactly 0: that is no root, only too few digits
+        report = find_inflections(make_spec(values), "extended")
+        assert len(report.roots) == 1
+        assert report.roots[0].p_star == pytest.approx(root, abs=1e-9)
+
+    @pytest.mark.parametrize("values", [[0.5, 2.5], [1e-5, 1e5]])
+    def test_extended_bisection_stops_at_an_exact_root(self, values):
+        # the first midpoint of a unit pair's bracket is its root p = 1; there
+        # the bracket is noise at any precision, so its sign is no sign
+        report = find_inflections(make_spec(values), "extended")
+        assert [r.p_star for r in report.roots] == [1.0]
+        assert report.roots[0].residual == 0.0
+
 
 class TestWiderSpecs:
     def test_parity_holds_for_larger_n(self, rng):
