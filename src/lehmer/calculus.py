@@ -46,8 +46,8 @@ For two and three values the module also provides the closed forms of L''
 and, for n=3, the constant K, the bracketed factor tilde_l whose single root
 is the inflection point, its derivative, and the three inequality slacks
 that certify tilde_l is decreasing. The n=3 forms take a quotient x_i/x_j
-that is not a normal double from the logs of the values, and a term that
-leaves the double range from differences scaled by a power of two.
+that is not a normal double from the logs of the values, and a power or a
+term that leaves the double range in mpmath.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ def k_constant(spec: MeanSpec) -> float:
     ±inf only where it is beyond the largest double (see _in_double_range).
     """
     _require_n3(spec)
-    return _in_double_range(spec, lambda d: (_k_sum(spec, d),))[0]
+    return float(_in_double_range(spec, lambda d, pq, total: (_k_sum(spec, d, total),))[0])
 
 
 def _log_quotient(a: float, b: float, log_a: float, log_b: float) -> float:
@@ -384,10 +384,10 @@ def _log_quotient(a: float, b: float, log_a: float, log_b: float) -> float:
     return log_a - log_b
 
 
-def _k_sum(spec: MeanSpec, d: tuple[float, float, float]) -> float:
-    """K, with d = (x1 - x2, x1 - x3, x2 - x3) or those scaled; see _in_double_range."""
+def _k_sum(spec: MeanSpec, d: tuple, total: Callable):
+    """K, with d = (x1 - x2, x1 - x3, x2 - x3); see _in_double_range."""
     (x1, x2, x3), (l1, l2, l3) = spec.values, spec.log_values
-    return fsum(
+    return total(
         (
             d[0] * _log_quotient(x1, x2, l1, l2) * _log_quotient(x1 * x2, x3 * x3, l1 + l2, 2.0 * l3),
             d[1] * _log_quotient(x1, x3, l1, l3) * _log_quotient(x1 * x3, x2 * x2, l1 + l3, 2.0 * l2),
@@ -397,55 +397,65 @@ def _k_sum(spec: MeanSpec, d: tuple[float, float, float]) -> float:
 
 
 def _in_double_range(
-    spec: MeanSpec, f: Callable[[tuple[float, float, float]], tuple[float, ...]]
-) -> tuple[float, ...]:
-    """f(d) for a function f that is linear in d = (x1 - x2, x1 - x3, x2 - x3).
+    spec: MeanSpec, f: Callable, lq: list[list[float]] | None = None, q: float = 0.0
+) -> tuple:
+    """f(d, pq, total) for a triple, with d = (x1 - x2, x1 - x3, x2 - x3),
+    pq[i][j] = (x_i / x_j)^q for the log quotients lq (see _quotients;
+    None where f takes no powers) and total a summation.
 
-    K, tilde_l, tilde_l' and the slacks are such functions of a triple.
-    Where every value f returns is 0 or a normal double, they are returned
-    as they are. Where a term leaves the double range (a value is then ±inf,
-    nan or below the normal range, or fsum raises), f is taken again with d
-    scaled by the power of two that brings the largest x_i below 1, and that
-    power is put back last: a value is ±inf only where it is beyond the
-    largest double.
+    K, tilde_l, tilde_l' and the slacks are such functions. In doubles, a
+    power is taken of the quotient where that is a normal double, as in the
+    plain formulas, and as exp(q) of its log where it is not. Where every
+    value f returns is 0 or a normal double, they are returned as they are.
+    Where a power or a term leaves the double range (a value is then ±inf,
+    nan or below the normal range, or the evaluation overflows), f is taken
+    again in mpmath, whose exponents have no range, from the same log
+    quotients, and its values are returned as mpf: float() of one is ±inf
+    only where it is beyond the largest double.
     """
-    x1, x2, x3 = spec.values
+    x = x1, x2, x3 = spec.values
     tiny = sys.float_info.min
     try:
-        values = f((x1 - x2, x1 - x3, x2 - x3))
+        pq = None if lq is None else [
+            [pow(xi / xj, q) if tiny <= xi / xj < math.inf else exp(q * lij) for xj, lij in zip(x, row)]
+            for xi, row in zip(x, lq)
+        ]
+        values = f((x1 - x2, x1 - x3, x2 - x3), pq, fsum)
         if all(v == 0.0 or tiny <= abs(v) < math.inf for v in values):
             return values
-    except (OverflowError, ValueError):  # fsum of terms beyond the double range
+    except (OverflowError, ValueError):  # a power, or fsum of terms, beyond the double range
         pass
-    e = math.frexp(max(x1, x2, x3))[1]
-    scaled = f((math.ldexp(x1 - x2, -e), math.ldexp(x1 - x3, -e), math.ldexp(x2 - x3, -e)))
-    return tuple(_ldexp_or_inf(v, e) for v in scaled)
+    with mp.workdps(30):
+        x1, x2, x3 = (mp.mpf(v) for v in spec.values)
+        pq = None if lq is None else [[mp.exp(mp.mpf(q) * lij) for lij in row] for row in lq]
+        return f((x1 - x2, x1 - x3, x2 - x3), pq, mp.fsum)
 
 
-def _ldexp_or_inf(v: float, e: int) -> float:
-    try:
-        return math.ldexp(v, e)
-    except OverflowError:
-        return math.copysign(math.inf, v)
+def _quotients(spec: MeanSpec) -> list[list[float]]:
+    """log(x_i / x_j) for every i, j as lq[i][j].
 
-
-def _quotients(spec: MeanSpec, q: float) -> tuple[list[list[float]], list[list[float]]]:
-    """log(x_i / x_j) and (x_i / x_j)^q for every i, j, as lq[i][j] and pq[i][j].
-
-    Where x_i / x_j is a normal double both come from it, as in the plain
-    formulas. Where it is not, the quotient has lost digits or become 0 or
-    inf, so the log is taken as log x_i - log x_j (see _log_quotient) and
-    the power as exp(q) of that log. A power beyond the largest double
-    raises OverflowError.
+    Where x_i / x_j is a normal double the log is taken of it, as in the
+    plain formulas; where it is not, the quotient has lost digits or become
+    0 or inf, and the log is log x_i - log x_j (see _log_quotient).
     """
-    tiny = sys.float_info.min
     x, l = spec.values, spec.log_values
-    lq = [[_log_quotient(xi, xj, li, lj) for xj, lj in zip(x, l)] for xi, li in zip(x, l)]
-    pq = [
-        [pow(xi / xj, q) if tiny <= xi / xj < math.inf else exp(q * lij) for xj, lij in zip(x, row)]
-        for xi, row in zip(x, lq)
-    ]
-    return lq, pq
+    return [[_log_quotient(xi, xj, li, lj) for xj, lj in zip(x, l)] for xi, li in zip(x, l)]
+
+
+def _tilde_l(spec: MeanSpec, p: float):
+    """tilde_l as a double, or as an mpf where it leaves the double range."""
+    lq = _quotients(spec)
+
+    def value(d, pq, total):
+        terms = (
+            (pq[1][2] - pq[0][2]) * d[0] * lq[0][1] ** 2,
+            (pq[2][1] - pq[0][1]) * d[1] * lq[0][2] ** 2,
+            (pq[2][0] - pq[1][0]) * d[2] * lq[1][2] ** 2,
+            _k_sum(spec, d, total),
+        )
+        return (total(terms),)
+
+    return _in_double_range(spec, value, lq, float(p) - 1.0)[0]
 
 
 def tilde_l(spec: MeanSpec, p: float) -> float:
@@ -454,27 +464,20 @@ def tilde_l(spec: MeanSpec, p: float) -> float:
     Its unique root is the inflection point; at p = 1 the exponential
     differences vanish exactly and the value reduces to K. Quotients
     x_i / x_j that leave the double range are taken from the logs of the
-    values (_quotients), and terms that leave it are scaled
+    values (_quotients), and powers or terms that leave it in mpmath
     (_in_double_range): the value is ±inf only where it is beyond the
     largest double.
     """
     _require_n3(spec)
-    lq, pq = _quotients(spec, float(p) - 1.0)
-
-    def value(d):
-        terms = (
-            (pq[1][2] - pq[0][2]) * d[0] * lq[0][1] ** 2,
-            (pq[2][1] - pq[0][1]) * d[1] * lq[0][2] ** 2,
-            (pq[2][0] - pq[1][0]) * d[2] * lq[1][2] ** 2,
-            _k_sum(spec, d),
-        )
-        return (fsum(terms),)
-
-    return _in_double_range(spec, value)[0]
+    return float(_tilde_l(spec, p))
 
 
 def second_derivative_n3(spec: MeanSpec, p: float) -> float:
-    """Closed-form L'' for an unweighted triple: positive prefactor times tilde_l."""
+    """Closed-form L'' for an unweighted triple: positive prefactor times tilde_l.
+
+    The two are combined in logs, so that neither the prefactor's underflow
+    nor tilde_l's overflow at large |p| reaches the product.
+    """
     _require_n3(spec)
     p = float(p)
     x1, x2, x3 = spec.values
@@ -483,7 +486,14 @@ def second_derivative_n3(spec: MeanSpec, p: float) -> float:
     log_pre = q * (l1 + l2 + l3)
     m = max(q * l1, q * l2, q * l3)
     log_den = 3.0 * (m + log(exp(q * l1 - m) + exp(q * l2 - m) + exp(q * l3 - m)))
-    return exp(log_pre - log_den) * tilde_l(spec, p)
+    t = _tilde_l(spec, p)
+    if t == 0:
+        return 0.0
+    log_t = math.log(abs(t)) if isinstance(t, float) else float(mp.log(abs(t)))
+    try:
+        return math.copysign(exp(log_pre - log_den + log_t), t)
+    except OverflowError:
+        return math.copysign(math.inf, t)
 
 
 def tilde_l_prime(spec: MeanSpec, p: float) -> float:
@@ -491,15 +501,15 @@ def tilde_l_prime(spec: MeanSpec, p: float) -> float:
     when the three values are pairwise distinct. Taken in the double range
     as tilde_l is."""
     _require_n3(spec)
-    lq, pq = _quotients(spec, float(p) - 1.0)
+    lq = _quotients(spec)
 
-    def value(d):
+    def value(d, pq, total):
         g1 = lq[1][0] * lq[1][2] * (pq[1][2] * d[0] * lq[1][0] + pq[1][0] * d[2] * lq[2][1])
         g2 = lq[1][0] * lq[2][0] * (pq[0][2] * d[0] * lq[1][0] + pq[0][1] * d[1] * lq[2][0])
         g3 = lq[2][0] * lq[2][1] * (pq[2][1] * d[1] * lq[2][0] + pq[2][0] * d[2] * lq[2][1])
-        return (fsum((g1, g2, g3)),)
+        return (total((g1, g2, g3)),)
 
-    return _in_double_range(spec, value)[0]
+    return float(_in_double_range(spec, value, lq, float(p) - 1.0)[0])
 
 
 def n3_inequalities(spec: MeanSpec, p: float) -> N3Slacks:
@@ -512,9 +522,9 @@ def n3_inequalities(spec: MeanSpec, p: float) -> N3Slacks:
     in the double range as tilde_l is.
     """
     _require_n3(spec)
-    lq, pq = _quotients(spec, float(p) - 1.0)
+    lq = _quotients(spec)
 
-    def value(d):
+    def value(d, pq, total):
         lhs_a = pq[1][2] * d[0] * lq[1][0] + pq[1][0] * d[2] * lq[2][1]
         rhs_a = d[1] * lq[0][2]
         lhs_b = pq[0][2] * d[0] * lq[1][0] + pq[0][1] * d[1] * lq[2][0]
@@ -523,7 +533,7 @@ def n3_inequalities(spec: MeanSpec, p: float) -> N3Slacks:
         rhs_c = d[0] * lq[0][1]
         return (rhs_a - lhs_a, rhs_b - lhs_b, rhs_c - lhs_c)
 
-    return N3Slacks(*_in_double_range(spec, value))
+    return N3Slacks(*(float(v) for v in _in_double_range(spec, value, lq, float(p) - 1.0)))
 
 
 # ---------------------------------------------------------------------------

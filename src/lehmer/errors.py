@@ -3,8 +3,8 @@
 Every library error derives from LehmerError so callers can catch one base.
 Domain errors signal invalid mathematical input, usage errors signal a call
 that violates an operation's contract (wrong arity, bad option), and the
-range-exhausted error signals a scan that hit its hard range cap; it carries
-whatever partial results were gathered.
+range-exhausted error signals a scan whose certified window could not be
+used; it carries whatever partial results were gathered.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ class UsageError(LehmerError, ValueError):
 
 
 class RangeExhaustedError(LehmerError, RuntimeError):
-    """Scan range hit the configured cap before the asymptotic regime.
+    """A scan window end lies past the half-width cap (1e6), or doubles
+    cannot certify it (values a few ulps apart).
 
     The ``report`` attribute holds an InflectionReport with whatever roots
-    were found inside the capped range; ``report`` may be None when nothing
-    was scanned at all.
+    a budget-limited pass over [-1e6, 1e6] found, and a warning that names
+    the reason; ``report`` may be None when nothing was scanned at all.
     """
 
     def __init__(self, message: str, report=None):

@@ -1,10 +1,11 @@
 """Location of every inflection point of the Lehmer mean.
 
-Strategy: expand a symmetric scan range by doubling until the curvature has
-its asymptotic signs (positive at the left end, negative at the right end)
-and the mean itself sits within 1e-6 of its horizontal asymptotes at both
-ends. Then clear the cells of a uniform grid over that range that provably
-hold no zero of L'', coarse cells first; evaluate the sign of L'' only at
+Strategy: read the scan window from the exponential sum of L'' (see
+_ExpSum and _end): past its right end the term of the largest exponent
+outweighs all the others, past its left end the term of the smallest, so
+L'' keeps its asymptotic sign (positive on the left, negative on the right)
+and every root lies inside. Then clear the cells of a uniform grid over
+that window that provably hold no zero of L'', coarse cells first; evaluate the sign of L'' only at
 the ends of the cells that remain; bracket every sign change; split the
 remaining cells without one at dyadic midpoints, again clearing what can be
 cleared; and refine all brackets by section bisection (see _bisect_all): one
@@ -13,8 +14,8 @@ open bracket, and each bracket takes up to six bisection steps from them.
 The steps, and so the midpoints, are those of one kernel call per step.
 
 Specs are scanned in batches (_scan_many; find_inflections is a batch of
-one). The window doubling, the exclusion levels, the grid, the split levels
-and every round of bisection run in lock-step for the whole batch: each
+one). The exclusion levels, the grid, the split levels and every round of
+bisection run in lock-step for the whole batch: each
 makes one kernel (or exclusion) call per shape of spec (n and the pairs the
 kernel keeps), with every spec's constants gathered per point or cell. The
 residuals, the 50-digit refinement and the reports are per spec. A point's
@@ -48,7 +49,8 @@ import mpmath as mp
 import numpy as np
 
 from .calculus import _EXTENDED_DPS, _check_precision, _mp_curvature, k_constant, second_derivative
-from .core import MeanSpec, _lehmer_value, asymptotes
+from .core import MeanSpec, merge_equal_values
+from .core import _lehmer_value, asymptotes  # noqa: F401  -- perfbench/spans.py traces these names here
 from .errors import DegenerateError, NoInflectionError, RangeExhaustedError, UsageError
 
 
@@ -62,15 +64,11 @@ __all__ = [
     "classify_n3_side",
 ]
 
-ASYMPTOTE_TOLERANCE = 1e-6
-
 _log = logging.getLogger(__name__)
 
-# one scan policy for every caller; the benchmark's window classes and grid
-# counts (perfbench/) assume these values
-_INITIAL_HALF_WIDTH = 64.0     # the window starts at [-64, 64]
-_EXPANSION_FACTOR = 2.0        # and doubles
-_MAX_HALF_WIDTH = 1e6          # up to this cap; RangeExhaustedError past it
+# one scan policy for every caller; the benchmark's grid counts (perfbench/)
+# assume these values
+_MAX_HALF_WIDTH = 1e6          # a window end past this cap: RangeExhaustedError
 _GRID_POINTS_PER_UNIT = 8.0    # scan grid points per unit of p
 _REFINE_TOLERANCE = 1e-9       # bisection stops at brackets this wide
 _SPLIT_DEPTH = 12
@@ -85,6 +83,7 @@ _TEST_ELEMENTS = 1 << 16       # cells times terms per exclusion chunk
 _PARTIAL_BUDGET = 400_000      # grid points for the post-exhaustion pass
 _MAX_BISECT_ITER = 128
 _SECTION_DEPTH = 6             # bisection steps per kernel call
+_WINDOW_STEPS = 64             # Newton steps per window end before it counts as not certifiable
 
 
 @dataclass(frozen=True)
@@ -418,30 +417,23 @@ class _Bracket:
 
 
 class _Grid:
-    """The uniform scan grid over [-half, half], as index arithmetic.
+    """The uniform scan grid k/per_unit for k in [k_lo, k_hi], as index
+    arithmetic: index i is the point (k_lo + i)/per_unit."""
 
-    Point k is (k - m)/per_unit for k = 0..2m; when half is not a whole
-    number of steps, -half and half are added at the ends and the other
-    indices shift by one.
-    """
-
-    def __init__(self, half: float, per_unit: float):
-        m = int(math.floor(half * per_unit + 1e-9))
-        self.half = half
+    def __init__(self, k_lo: int, k_hi: int, per_unit: float = _GRID_POINTS_PER_UNIT):
+        self.k_lo = k_lo
         self.per_unit = per_unit
-        self.ends = float(-m) / per_unit > -half
-        self.offset = m + int(self.ends)
-        self.size = 2 * m + 1 + 2 * int(self.ends)
+        self.size = k_hi - k_lo + 1
 
     def points(self, idx: np.ndarray) -> np.ndarray:
-        ps = (idx - self.offset).astype(float) / self.per_unit
-        if self.ends:
-            ps[idx == 0] = -self.half
-            ps[idx == self.size - 1] = self.half
-        return ps
+        return (idx + self.k_lo).astype(float) / self.per_unit
 
     def point(self, k: int) -> float:
         return float(self.points(np.array([k]))[0])
+
+    @property
+    def span(self) -> tuple[float, float]:
+        return self.point(0), self.point(self.size - 1)
 
 
 class _Batch:
@@ -827,38 +819,107 @@ def _direction(sign_lo: int) -> str:
     return "convex-to-concave" if sign_lo > 0 else "concave-to-convex"
 
 
-def _windows(batch: _Batch) -> list[tuple[float, bool]]:
-    """(half-width, capped) per spec: the first half-width at which L'' has
-    its asymptotic signs at both ends and L is within ASYMPTOTE_TOLERANCE
-    of both asymptotes, doubling from _INITIAL_HALF_WIDTH; capped where
-    _MAX_HALF_WIDTH is reached first. Each doubling is one kernel call for
-    all the specs not yet settled.
+def _end(terms: list[list[float]], side: float) -> float | None:
+    """Where one term of f starts to outweigh all the others for good.
+
+    terms is one spec's column of _ExpSum.table. On the right (side 1) the
+    term of the largest exponent outweighs the sum of the others for every
+    q >= the result; on the left (side -1) that of the smallest, for every
+    q <= the result. So f, and L'', keeps the sign of that term past it.
+    The comparison is test (2) of _ExpSum._test on a half-line, with the
+    same bounds on the coefficients and exponents. The sum of the other
+    terms' bounds falls monotonically outward, since each exponent is below
+    the top one by more than its error; Newton's method from the largest
+    single-term crossing, on the log of that convex sum, approaches the
+    crossing from inside and stops at the first q that passes. Returns None
+    where the exponents are too close to order, or the top coefficient too
+    close to 0 to bound.
     """
-    specs = batch.specs
-    limits = [asymptotes(spec) for spec in specs]
-    half = [_INITIAL_HALF_WIDTH] * len(specs)
-    capped = [False] * len(specs)
-    unsettled = list(range(len(specs)))
-    while unsettled:
-        ends = np.array([h for k in unsettled for h in (-half[k], half[k])])
-        s = batch(ends, np.array(unsettled, dtype=np.intp).repeat(2))[0].tolist()
-        left = []
-        for t, k in enumerate(unsettled):
-            signs_ok = s[2 * t] > 0 and s[2 * t + 1] < 0
-            lo_asym, hi_asym = limits[k]
-            prox_ok = (
-                abs(_lehmer_value(specs[k], -half[k]) - lo_asym) <= ASYMPTOTE_TOLERANCE
-                and abs(_lehmer_value(specs[k], half[k]) - hi_asym) <= ASYMPTOTE_TOLERANCE
-            )
-            if signs_ok and prox_ok:
-                continue
-            if half[k] >= _MAX_HALF_WIDTH:
-                capped[k] = True
-                continue
-            half[k] = min(half[k] * _EXPANSION_FACTOR, _MAX_HALF_WIDTH)
-            left.append(k)
-        unsettled = left
-    return list(zip(half, capped))
+    _, k, a, e_a, _, _, log_hi, log_lo, eps_c, _ = terms
+    top = max(range(len(a)), key=lambda t: side * a[t])
+    floor = log_lo[top] - 3.0 * eps_c[top]
+    if not floor > -math.inf:
+        return None
+    # per other term: log of its bound over the top term's at s = side * q = 0,
+    # and its slope in s for s >= 0 (up) and s < 0 (down)
+    consts, up, down = [], [], []
+    for t in range(len(a)):
+        if t == top:
+            continue
+        d = side * (a[t] - a[top])
+        err = e_a[t] + e_a[top] + 8.0 * _U * abs(d)
+        if not d + err < 0.0:
+            return None
+        dk = _LN2 * (k[t] - k[top])
+        consts.append(log_hi[t] - floor + dk + eps_c[t] + 8.0 * _U * abs(dk))
+        up.append(d + err)
+        down.append(d - err)
+    target = math.log1p(-_MARGIN)
+    s = max(-c / (u if c >= 0.0 else v) for c, u, v in zip(consts, up, down))
+    for _ in range(_WINDOW_STEPS):
+        slopes = up if s >= 0.0 else down
+        logs = [c + s * g for c, g in zip(consts, slopes)]
+        big = max(logs)
+        shares = [math.exp(x - big) for x in logs]
+        total = sum(shares)
+        excess = big + math.log(total) - target
+        if excess < 0.0:
+            return side * s
+        rate = sum(w * g for w, g in zip(shares, slopes)) / total
+        s += max(excess / -rate, 2.0**-6 + 2.0**-40 * abs(s))
+    return None
+
+
+_CERTIFIED, _CLIPPED, _UNCERTIFIABLE = "certified", "clipped at the cap", "not certifiable"
+
+
+class _Window(NamedTuple):
+    grid: _Grid
+    ends: tuple[float | None, float | None]  # p_L and p_R as _end certifies them
+    reasons: tuple[str, str]  # of each end: _CERTIFIED, _CLIPPED or _UNCERTIFIABLE
+
+    @property
+    def capped(self) -> bool:
+        return self.reasons != (_CERTIFIED, _CERTIFIED)
+
+
+def _windows(batch: _Batch) -> list[_Window]:
+    """The scan window of each spec of the batch, from its exponential sum.
+
+    Each end is certified by _end and rounded outward to the grid, plus one
+    cell, so that no root sits on an edge (a unit pair's two terms tie at
+    its root, p = 1) and every point is a point k/8 of the one scan grid.
+    A spec with repeated values takes the window of merge_equal_values(spec):
+    the same L, and no two terms that share the top exponent. Where an end
+    is not certifiable or lies past _MAX_HALF_WIDTH, the spec takes the
+    budget pass: _PARTIAL_BUDGET grid points over [-_MAX_HALF_WIDTH,
+    _MAX_HALF_WIDTH].
+    """
+    per_unit = _GRID_POINTS_PER_UNIT
+    budget = min(per_unit, _PARTIAL_BUDGET / (2.0 * _MAX_HALF_WIDTH))
+    m = math.floor(_MAX_HALF_WIDTH * budget + 1e-9)
+    cap = math.floor(_MAX_HALF_WIDTH * per_unit)
+    out = []
+    for k, spec in enumerate(batch.specs):
+        if len(set(spec.values)) < spec.n:
+            table = _ExpSum([merge_equal_values(spec)]).table[:, :, 0]
+        else:
+            table = batch.expsums[batch.group[k]].table[:, :, batch.row[k]]
+        terms = table.tolist()
+        q_lo, q_hi = _end(terms, -1.0), _end(terms, 1.0)
+        ends = (None if q_lo is None else 1.0 + q_lo, None if q_hi is None else 1.0 + q_hi)
+        k_lo = None if q_lo is None else math.floor(ends[0] * per_unit) - 1
+        k_hi = None if q_hi is None else math.ceil(ends[1] * per_unit) + 1
+        reasons = (
+            _UNCERTIFIABLE if k_lo is None else _CLIPPED if k_lo < -cap else _CERTIFIED,
+            _UNCERTIFIABLE if k_hi is None else _CLIPPED if k_hi > cap else _CERTIFIED,
+        )
+        if reasons == (_CERTIFIED, _CERTIFIED):
+            grid = _Grid(k_lo, k_hi)
+        else:
+            grid = _Grid(-m, m, budget)
+        out.append(_Window(grid, ends, reasons))
+    return out
 
 
 def _above_scale(residual: float, log_scale: float) -> bool:
@@ -871,7 +932,12 @@ def _above_scale(residual: float, log_scale: float) -> bool:
 
 
 def _report(
-    spec: MeanSpec, brackets: list[_Bracket], mids: np.ndarray, half: float, precision: str, warnings: list[str]
+    spec: MeanSpec,
+    brackets: list[_Bracket],
+    mids: np.ndarray,
+    scan_range: tuple[float, float],
+    precision: str,
+    warnings: list[str],
 ) -> InflectionReport:
     """One spec's report from its bisected brackets: residuals, 50-digit
     refinement where the mode asks for it, and the checks. Each bracket is
@@ -919,7 +985,7 @@ def _report(
         roots=tuple(roots),
         parity_ok=len(roots) % 2 == 1,
         bound_j=bound_j,
-        scan_range=(-half, half),
+        scan_range=scan_range,
         precision_used="extended" if precision_flag else "standard",
         warnings=tuple(warnings),
     )
@@ -945,25 +1011,21 @@ def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
         return outcomes
     batch = _Batch([specs[k] for k in scanned])
     windows = _windows(batch)
-    grids, warnings = [], []
-    for half, capped in windows:
-        per_unit = _GRID_POINTS_PER_UNIT
-        warnings.append([])
-        if capped:
-            warnings[-1].append(
-                f"scan range exhausted at half-width {half:g}; results cover a budget-limited pass only"
-            )
-            per_unit = min(per_unit, _PARTIAL_BUDGET / (2.0 * half))
-        grids.append(_Grid(half, per_unit))
+    warnings = [[_exhausted(window)] if window.capped else [] for window in windows]
+    grids = [window.grid for window in windows]
     collected = _collect_brackets(batch, grids, warnings)
     brackets = [br for found, _ in collected for br in found]
     owner = np.array([t for t, (found, _) in enumerate(collected) for _ in found], dtype=np.intp)
     calls, points = batch.calls, batch.points
     mids = _bisect_all(batch, brackets, _REFINE_TOLERANCE, owner)
-    for (half, _), (_, (live, grid_points, uncleared)) in zip(windows, collected):
+    for window, (_, (live, grid_points, uncleared)) in zip(windows, collected):
+        lo, hi = window.grid.span
         _log.debug(
-            "scan half-width %g: %d live grid cells, %d kernel points on the grid, %d split cells left uncleared",
-            half,
+            "scan window [%g, %g] (left end %s, right end %s): "
+            "%d live grid cells, %d kernel points on the grid, %d split cells left uncleared",
+            lo,
+            hi,
+            *window.reasons,
             live,
             grid_points,
             uncleared,
@@ -978,17 +1040,31 @@ def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
     )
     start = 0
     for t, k in enumerate(scanned):
-        half, capped = windows[t]
+        window = windows[t]
         found = collected[t][0]
-        report = _report(specs[k], found, mids[start : start + len(found)], half, precision, warnings[t])
+        report = _report(specs[k], found, mids[start : start + len(found)], window.grid.span, precision, warnings[t])
         start += len(found)
-        if capped:
+        if window.capped:
             outcomes[k] = RangeExhaustedError(
-                f"no asymptotic curvature regime within half-width {_MAX_HALF_WIDTH:g}", report=report
+                f"no certified scan window within half-width {_MAX_HALF_WIDTH:g}", report=report
             )
         else:
             outcomes[k] = report
     return outcomes
+
+
+def _exhausted(window: _Window) -> str:
+    """The warning of a spec that takes the budget pass, with the reason."""
+    why = []
+    for side, end, reason in zip(("left", "right"), window.ends, window.reasons):
+        if reason == _CLIPPED:
+            why.append(f"the {side} end, certified at p={end:.6g}, is past the cap")
+        elif reason == _UNCERTIFIABLE:
+            why.append(f"the {side} end is not certifiable at this spacing of the values")
+    return (
+        f"scan range exhausted at half-width {_MAX_HALF_WIDTH:g}: {' and '.join(why)}; "
+        "results cover a budget-limited pass only"
+    )
 
 
 def find_inflections(spec: MeanSpec, precision: str = "auto") -> InflectionReport:
@@ -1000,9 +1076,12 @@ def find_inflections(spec: MeanSpec, precision: str = "auto") -> InflectionRepor
     above 1e-3 of the local curvature scale. Raises UsageError for any
     other value.
 
-    Raises NoInflectionError for constant specs and RangeExhaustedError
-    (carrying a partial report) when the asymptotic regime is not reached
-    within half-width 1e6.
+    The scan window is certified per spec (see _windows), and the report's
+    scan_range is that window. Raises NoInflectionError for constant specs
+    and RangeExhaustedError when a window end lies past half-width 1e6 or
+    cannot be certified in doubles (values a few ulps apart); it carries
+    the partial report of a budget pass of 400,000 grid points over
+    [-1e6, 1e6], whose warning names the reason.
     """
     outcome = _scan_many([spec], precision)[0]
     if not isinstance(outcome, InflectionReport):

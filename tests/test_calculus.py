@@ -951,6 +951,31 @@ class TestTriplesBeyondTheDoubleRange:
             spec = make_spec((10.0 ** rng.uniform(-320.0, 308.0, 3)).tolist())
             assert tilde_l(spec, 1.0) == k_constant(spec)
 
+    def test_powers_past_the_double_range(self, rng):
+        # (x_i / x_j)^(p - 1) past the largest double: {1, 2, 3} at p = 700
+        # raised OverflowError
+        cases = [([1.0, 2.0, 3.0], p) for p in (700.0, -700.0, 1000.0, -1000.0)]
+        for _ in range(100):
+            values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 3)).tolist()
+            spread = max(values) / min(values)
+            cases.append((values, 1.0 + float(rng.choice([-1.0, 1.0]) * rng.uniform(710.0, 2000.0)) / math.log(spread)))
+        finite = beyond = 0
+        for values, p in cases:
+            for g, (value, size) in zip(_n3_values(make_spec(values), p), _mp_n3(values, p)):
+                if abs(value) > sys.float_info.max:
+                    assert g == math.copysign(math.inf, value), (values, p)
+                    beyond += 1
+                else:
+                    assert abs(g - float(value)) <= 1e-12 * float(size), (values, p)
+                    finite += 1
+        assert finite > 100 and beyond > 100
+
+    @pytest.mark.parametrize("p", [700.0, -700.0, 1000.0, -1000.0])
+    def test_curvature_at_large_p(self, p):
+        # the prefactor underflows and tilde_l overflows; their logs do not
+        spec = make_spec([1.0, 2.0, 3.0])
+        assert second_derivative_n3(spec, p) == pytest.approx(second_derivative(spec, p), rel=1e-9)
+
 
 class TestInequalities:
     def test_slacks_nonnegative(self, rng):

@@ -19,6 +19,7 @@ from lehmer import (
     k_constant,
     lehmer,
     make_spec,
+    merge_equal_values,
     weighted_n2_inflection,
 )
 from lehmer.calculus import _mp_curvature
@@ -37,6 +38,7 @@ from lehmer.inflection import (
     _report,
     _scan_many,
     _shape,
+    _windows,
 )
 from lehmer.search import Cluster
 
@@ -68,8 +70,9 @@ class TestScanConfig:
     """The scan's fixed policy and its one setting, the precision mode."""
 
     def test_defaults(self):
-        assert inflection._INITIAL_HALF_WIDTH == 64.0
-        assert inflection._EXPANSION_FACTOR == 2.0
+        # the window is certified per spec (see TestWindow); no doubling is left
+        for name in ("ASYMPTOTE_TOLERANCE", "_INITIAL_HALF_WIDTH", "_EXPANSION_FACTOR"):
+            assert not hasattr(inflection, name)
         assert inflection._MAX_HALF_WIDTH == 1e6
         assert inflection._GRID_POINTS_PER_UNIT == 8.0
         assert inflection._REFINE_TOLERANCE == 1e-9
@@ -216,8 +219,9 @@ class TestThreeRootInstance:
         ]
 
     def test_scan_expanded_far_enough(self):
-        report = find_inflections(make_spec(THREE_ROOT_VALUES))
-        assert report.scan_range[1] >= 4096.0
+        # the certified window reaches past the roots, to about [-903, 2242]
+        lo, hi = find_inflections(make_spec(THREE_ROOT_VALUES)).scan_range
+        assert -1000.0 < lo < THREE_ROOTS[0] and THREE_ROOTS[-1] < hi < 2300.0
 
     def test_residuals_small(self):
         report = find_inflections(make_spec(THREE_ROOT_VALUES))
@@ -227,13 +231,19 @@ class TestThreeRootInstance:
 
 class TestRootCountBound:
     def test_ulp_spaced_triple_warns_when_roots_exceed_j(self):
-        # a few ulps apart the kernel's signs are rounding noise; the roots
-        # and the parity flag are reported as found, with a warning
-        report = find_inflections(make_spec([2.0, 2.0 + 4.4e-16, 2.0 + 8.9e-16]))
+        # a few ulps apart no window end is certifiable, and the triple takes
+        # the budget pass; a report warns exactly when its roots exceed J
+        with pytest.raises(RangeExhaustedError) as excinfo:
+            find_inflections(make_spec([2.0, 2.0 + 4.4e-16, 2.0 + 8.9e-16]))
+        report = excinfo.value.report
         assert report.bound_j == 5
-        assert len(report.roots) > report.bound_j
+        assert any("exceed the bound J=5" in w for w in report.warnings) == (len(report.roots) > 5)
+        # seven brackets of a triple, as rounding noise gives them
+        brackets = [_Bracket(k - 0.0625, k + 0.0625, 1 if k % 2 == 0 else -1, 0.0) for k in range(7)]
+        report = _report(make_spec([1.0, 2.0, 3.0]), brackets, np.arange(7.0), (-8.0, 8.0), "standard", [])
+        assert len(report.roots) == 7
         assert [w for w in report.warnings if "exceed the bound J=5" in w] == [
-            f"{len(report.roots)} roots exceed the bound J=5 for n=3; "
+            "7 roots exceed the bound J=5 for n=3; "
             "the signs of the second derivative are rounding noise at this spacing of the values"
         ]
 
@@ -250,15 +260,118 @@ class TestErrorPaths:
             find_inflections(make_spec([5.0]))
 
     def test_range_exhaustion_carries_partial_report(self):
-        # L stays more than 1e-6 from its asymptotes out to p = 1e6
+        # both certified ends lie past the cap, about 1.8e9 and 1.35e9 from 1
         with pytest.raises(RangeExhaustedError) as excinfo:
-            find_inflections(make_spec([10.0, 10.00001]))
+            find_inflections(make_spec([1.0, 1.0 + 1e-9, 1.0 + 3e-9]))
         report = excinfo.value.report
         assert report is not None
         assert report.scan_range == (-1e6, 1e6)
-        assert any("exhausted" in w for w in report.warnings)
-        # the root at p=1 is inside the partial window and still reported
-        assert any(abs(r.p_star - 1.0) <= 1e-8 for r in report.roots)
+        [warning] = [w for w in report.warnings if "exhausted" in w]
+        assert "left end, certified at p=-1.8" in warning and "right end, certified at p=1.35" in warning
+        # its one root, at 176,861,211.997, is past the partial window
+        assert report.roots == ()
+        # values 1e-6 apart: the root at 176,862 is inside the partial window
+        with pytest.raises(RangeExhaustedError) as excinfo:
+            find_inflections(make_spec([1.0, 1.0 + 1e-6, 1.0 + 3e-6]))
+        assert [round(r.p_star) for r in excinfo.value.report.roots] == [176862]
+
+
+class TestWindow:
+    """The scan window: each end is where one term of the exponential sum
+    starts to outweigh all the others, rounded outward to the grid."""
+
+    @staticmethod
+    def _specs(rng):
+        cluster = Cluster()
+        specs = [make_spec(v) for v in (THREE_ROOT_VALUES, [1.0, 2.0, 3.0], [1.0, 1.0001, 1.0002], [1e-50, 1.0, 1e50])]
+        specs.append(make_spec([0.5, 2.5], [2.0, 1.0]))
+        for _ in range(6):
+            for n in (2, 3, 4, 5):
+                values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n)).tolist()
+                specs.append(make_spec(values, rng.uniform(0.5, 2.0, n).tolist() if rng.random() < 0.5 else None))
+            specs.append(make_spec(cluster.draw(rng, 4).tolist()))
+        return specs
+
+    @staticmethod
+    def _sign(spec, p):
+        """Sign of L'' from the 60-digit bracket, with as many more digits as its terms spread over."""
+        l = spec.log_values
+        spread = (abs(p) + 1.0) * (max(l) - min(l)) / math.log(10.0)
+        return _reference_sign(spec, p, dps=60 + math.ceil(spread))
+
+    def test_roots_lie_strictly_inside(self, rng):
+        for spec in self._specs(rng):
+            report = find_inflections(spec)
+            lo, hi = report.scan_range
+            assert report.roots and all(lo < root.p_star < hi for root in report.roots), spec
+
+    def test_asymptotic_signs_at_and_beyond_the_ends(self, rng):
+        beyond = 0.125 * 2.0 ** np.arange(10)
+        for spec in self._specs(rng):
+            [window] = _windows(_Batch([spec]))
+            assert window.reasons == ("certified", "certified")
+            (p_lo, p_hi), (lo, hi) = window.ends, window.grid.span
+            assert lo < p_lo < p_hi < hi
+            for p in [p_lo, lo, *(lo - beyond)]:
+                assert self._sign(spec, float(p)) == 1, (spec, p)
+            for p in [p_hi, hi, *(hi + beyond)]:
+                assert self._sign(spec, float(p)) == -1, (spec, p)
+
+    def test_ends_are_grid_points(self, rng):
+        for spec in self._specs(rng):
+            lo, hi = find_inflections(spec).scan_range
+            assert lo * 8.0 == math.floor(lo * 8.0) and hi * 8.0 == math.floor(hi * 8.0)
+
+    def test_unit_pair_window_contains_one(self, rng):
+        for _ in range(50):
+            values = np.exp(rng.uniform(-300.0, 300.0, 2)).tolist()
+            lo, hi = find_inflections(make_spec(values)).scan_range
+            assert lo < 1.0 < hi, values
+        # L is still 1e-6 away from its asymptotes at p = +-1e6; the window
+        # asks only where the curvature keeps its sign
+        report = find_inflections(make_spec([10.0, 10.00001]))
+        assert report.scan_range == (0.75, 1.25)
+        assert [root.p_star for root in report.roots] == [1.0]
+
+    @pytest.mark.parametrize("values", [[1.0, 1.0, 2.0], [1.0, 2.0, 2.0, 3.0]])
+    def test_repeated_values_take_the_merged_window(self, values):
+        spec = make_spec(values)
+        merged = merge_equal_values(spec)
+        [window] = _windows(_Batch([spec]))
+        assert window.reasons == ("certified", "certified")
+        assert window.grid.span == _windows(_Batch([merged]))[0].grid.span
+        assert find_inflections(spec).scan_range == window.grid.span == find_inflections(merged).scan_range
+
+    def test_exponents_closer_than_their_errors_do_not_certify(self):
+        # two terms 1e-3 apart in exponent, each known to 1e-2: the other
+        # term may grow without bound, although at q = 0 it is e^-5 of the top
+        fields = dict(sign=[-1.0, 1.0], k=[0.0, 0.0], a=[1.0, 0.999], e_a=[1e-2, 1e-2], log_c=[0.0, -5.0],
+                      log_r=[-40.0, -40.0], log_hi=[0.0, -5.0], log_lo=[0.0, -5.0], eps_c=[0.0, 0.0], rank=[0.0, -5.0])
+        terms = list(fields.values())
+        assert inflection._end(terms, 1.0) is None
+        # known to 1e-5, the same terms certify the right end a little past
+        # q = -5000, where the other term's true size is the top one's
+        fields["e_a"] = [1e-5, 1e-5]
+        q = inflection._end(list(fields.values()), 1.0)
+        assert -5000.0 < q < -4800.0
+
+    @pytest.mark.parametrize(
+        "values, reason, why",
+        [
+            ([2.0, 2.0 + 4.4e-16, 2.0 + 8.9e-16], "not certifiable", "end is not certifiable"),
+            ([1.0, 1.0 + 1e-9, 1.0 + 3e-9], "clipped at the cap", "is past the cap"),
+        ],
+    )
+    def test_budget_pass(self, values, reason, why):
+        [window] = _windows(_Batch([make_spec(values)]))
+        assert window.reasons == (reason, reason)
+        assert window.grid.span == (-1e6, 1e6) and window.grid.size == 400_001
+        with pytest.raises(RangeExhaustedError) as excinfo:
+            find_inflections(make_spec(values))
+        report = excinfo.value.report
+        assert report.scan_range == (-1e6, 1e6)
+        [warning] = [w for w in report.warnings if "exhausted" in w]
+        assert warning.count(why) == 2
 
 
 class TestReport:
@@ -267,7 +380,7 @@ class TestReport:
         spec = make_spec(THREE_ROOT_VALUES)
         brackets = [_Bracket(203.875, 204.0, 1, 0.0), _Bracket(204.0, 204.125, -1, 0.0)]
         mids = np.array([204.0 - 5e-10, 204.0 + 5e-10])
-        report = _report(spec, brackets, mids, 8192.0, "standard", [])
+        report = _report(spec, brackets, mids, (-8192.0, 8192.0), "standard", [])
         assert [r.p_star for r in report.roots] == mids.tolist()
         assert [r.bracket for r in report.roots] == [(203.875, 204.0), (204.0, 204.125)]
         assert [r.direction for r in report.roots] == ["convex-to-concave", "concave-to-convex"]
@@ -457,8 +570,7 @@ class TestExclusionSoundness:
         agree = reliable = 0
         for spec in self._specs(rng, 5):
             report = self._report(spec)
-            half = report.scan_range[1]
-            ps = np.concatenate((rng.uniform(-half, half, 6), [r.p_star + rng.normal() for r in report.roots]))
+            ps = np.concatenate((rng.uniform(*report.scan_range, 6), [r.p_star + rng.normal() for r in report.roots]))
             _, signs = _ExpSum([spec]).test(ps, ps)
             for p, sign in zip(ps.tolist(), signs.tolist()):
                 expected = _reference_sign(spec, p)
@@ -473,10 +585,10 @@ class TestExclusionSoundness:
         assert agree >= 0.9 * reliable
 
     def test_scan_clears_most_of_the_grid(self):
-        # the canonical instance scans +-8192 at 8 points per unit: about
+        # the canonical instance over +-8192 at 8 points per unit: about
         # 131k grid points, of which a handful near the roots stay live
         spec = make_spec(THREE_ROOT_VALUES)
-        [(cells, tested)] = _live_cells([_Grid(8192.0, 8.0)], _Batch([spec]))
+        [(cells, tested)] = _live_cells([_Grid(-65536, 65536)], _Batch([spec]))
         assert 3 <= cells.size <= 200
         assert tested.all()
 
@@ -518,11 +630,8 @@ class TestSectionBisection:
     @staticmethod
     def _scan_brackets(spec):
         batch = _Batch([spec])
-        try:
-            half = find_inflections(spec).scan_range[1]
-        except RangeExhaustedError as exc:
-            half = exc.report.scan_range[1]
-        [(brackets, _)] = _collect_brackets(batch, [_Grid(half, 8.0)], [[]])
+        [window] = _windows(batch)
+        [(brackets, _)] = _collect_brackets(batch, [window.grid], [[]])
         return batch.kernels[0], brackets
 
     @staticmethod
@@ -666,13 +775,14 @@ class TestBatchIndependence:
                 specs.append(make_spec(values, rng.uniform(0.5, 2.0, n).tolist() if rng.random() < 0.5 else None))
             values = np.exp(rng.uniform(-2.0, 2.0, 3)).tolist()
             specs.append(make_spec(values + [values[0]]))  # a duplicate: a shape of its own
-        # evenly spaced values take windows of 128 to 1024
+        # evenly spaced values, 0.01 to 0.2 apart: wider windows
         for step in (0.01, 0.05, 0.2):
             specs.append(make_spec([1.0, 1.0 + step, 1.0 + 2.0 * step]))
             specs.append(make_spec([2.0, 2.0 + step, 2.0 + 2.0 * step, 2.0 + 3.0 * step], [1.0, 2.0, 0.5, 1.0]))
         specs.append(make_spec([3.0, 3.0, 3.0]))  # constant
         specs.append(make_spec([1e300, math.nextafter(1e300, math.inf)]))  # equal logs
-        specs.append(make_spec([10.0, 10.00001]))  # exhausts the half-width cap, 1e6
+        specs.append(make_spec([10.0, 10.00001]))  # a unit pair: the window [0.75, 1.25]
+        specs.append(make_spec([1.0, 1.0 + 1e-6, 1.0 + 3e-6]))  # certified ends past the cap, 1e6
         return [specs[k] for k in rng.permutation(len(specs))]
 
     @pytest.mark.parametrize("mode", ["auto", "standard", "extended"])
@@ -684,5 +794,6 @@ class TestBatchIndependence:
             assert got == [alone[specs.index(spec)] for spec in batch]
         kinds = [text.split("(", 1)[0] for text in alone]
         assert kinds.count("NoInflectionError") == 2 and "RangeExhaustedError" in kinds
-        halves = {float(text.split("scan_range=(-", 1)[1].split(",", 1)[0]) for text in alone if "scan_range" in text}
-        assert {64.0, 128.0, 256.0, 512.0, 1024.0, 1e6} <= halves
+        windows = {text.split("scan_range=", 1)[1].split(")", 1)[0] + ")" for text in alone if "scan_range" in text}
+        assert {"(0.75, 1.25)", "(-1000000.0, 1000000.0)"} <= windows
+        assert len(windows) >= 20  # one window per spec, of widths from 0.5 to 2e6
