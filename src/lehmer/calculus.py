@@ -14,8 +14,8 @@ The first-derivative difference is evaluated through an equivalent pairwise
 form whose terms are all non-negative, so the result can never round to a
 negative number. The second-derivative bracket is the one place where digits
 cancel, and it cancels at every large |p|. Where it loses more than ten
-decimal digits, precision "auto" (the default) evaluates L'' from the
-pairwise form that the scan's sign kernel uses,
+decimal digits, precisions "auto" (the default) and "standard" evaluate L''
+from the pairwise form that the scan's sign kernel uses,
 
     L'' = sum_{i<j} w_i w_j (x_i x_j)^(p-1) (x_i - x_j) log(x_i/x_j) (d_i + d_j)
           / (sum_k w_k x_k^(p-1))^2,   d_i = log x_i - m_1(p-1),
@@ -23,11 +23,11 @@ pairwise form that the scan's sign kernel uses,
 taken from the ratios log(x_i/x_k) so that values a few ulps apart keep
 their digits (see _pairwise_second_derivative). That sum cancels near a root
 of L''. Only where it too loses more than ten digits, measured against the
-rounding each of its terms can carry, does the computation escalate to
-50-digit arithmetic; a 50-digit bracket that cancels to noise in turn gives
-the pairwise value where that keeps ten digits, and 0.0 only where it does
-not. The p-independent constants of the pairwise terms are kept per spec
-(MeanSpec.pair_table) and shared with L'.
+rounding each of its terms can carry, does "auto" escalate to 50-digit
+arithmetic ("standard" keeps the double bracket there); a 50-digit bracket
+that cancels to noise in turn gives the pairwise value where that keeps ten
+digits, and 0.0 only where it does not. The p-independent constants of the
+pairwise terms are kept per spec (MeanSpec.pair_table) and shared with L'.
 
 Each exponent gets one table of powers (core._powers: the shifted terms
 w_i x_i^p, their largest and their exact sum). An evaluation point
@@ -47,7 +47,9 @@ and, for n=3, the constant K, the bracketed factor tilde_l whose single root
 is the inflection point, its derivative, and the three inequality slacks
 that certify tilde_l is decreasing. The n=3 forms take a quotient x_i/x_j
 that is not a normal double from the logs of the values, and a power or a
-term that leaves the double range in mpmath.
+term that leaves the double range in mpmath. tilde_l' is taken again in
+mpmath, logs of quotients included, where its terms cancel to within their
+rounding.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ __all__ = [
 # escalate when the bracket loses this many decimal digits to cancellation
 _CANCELLATION_LIMIT = 1e-10
 _EXTENDED_DPS = 50
+_U = 2.0**-53  # unit roundoff of doubles
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +151,9 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
     """L''(p) via the log-moment bracket; exactly 0 for constant specs.
 
     precision:
-        "standard"  double precision only
+        "standard"  double precision only: the double bracket while it keeps
+                    ten decimal digits, else the pairwise double form while
+                    that keeps ten, else the double bracket all the same
         "extended"  the bracket at 50 significant digits; where even those
                     cancel to noise, the pairwise double form of the module
                     docstring if it keeps ten digits, else 0.0
@@ -173,14 +178,15 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
     m2q = _table_moment(spec, tq, 2)
     terms = (m2p, -m2q, -2.0 * m1q * m1p, 2.0 * m1q * m1q)
     bracket = fsum(terms)
-    if precision == "auto":
-        scale = max(abs(t) for t in terms)
-        if scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
-            value = _pairwise_second_derivative(spec, p)
-            if value is None:
-                value = _second_derivative_mp(spec, p)
+    scale = max(abs(t) for t in terms)
+    if scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
+        value = _pairwise_second_derivative(spec, p)
+        if value is not None:
+            return value
+        if precision == "auto":
             # below the 50-digit floor the value is noise: reporting it
             # signed would contradict the closed forms
+            value = _second_derivative_mp(spec, p)
             return 0.0 if value is None else value
     return mean * bracket
 
@@ -295,13 +301,41 @@ def _mp_curvature(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
     return bracket, scale, s_p / s_q
 
 
+def _below_noise(bracket: mp.mpf, scale: mp.mpf, dps: int) -> bool:
+    """Whether a bracket taken at dps digits is lost in their rounding: the
+    floor sits eight digits above the last, against its largest term."""
+    return abs(bracket) < mp.mpf(10) ** (8 - dps) * scale
+
+
 def _second_derivative_mp(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> float | None:
     """L''(p) from the bracket at dps digits, or None where it cancels below them."""
     with mp.workdps(dps):
         bracket, scale, value = _mp_curvature(spec, mp.mpf(p))
-        if abs(bracket) < mp.mpf(10) ** (8 - dps) * scale:
+        if _below_noise(bracket, scale, dps):
             return None
         return float(value * bracket)
+
+
+def _mp_sign(spec: MeanSpec, p: float) -> int:
+    """Sign of L''(p) from the bracket; L > 0, so the bracket's sign suffices.
+
+    The bracket is taken at 50 digits. Where the terms w_i x_i^p and
+    w_i x_i^(p-1) spread over more decades than that, the smaller ones vanish
+    from the sums, and the bracket cancels to 0 or to noise away from any
+    root. Below its noise floor it is taken again with as many more digits
+    as the terms spread over; a bracket still below the floor there is a
+    root to those digits, and its sign is 0. second_derivative does not
+    retry: at the root p = 1 of every unit pair the bracket is noise at any
+    precision, and the retry would cost a second evaluation there.
+    """
+    l, lw = spec.log_values, spec.log_weights
+    spread = max(abs(p), abs(p - 1.0)) * (max(l) - min(l)) + (max(lw) - min(lw))
+    for dps in (_EXTENDED_DPS, _EXTENDED_DPS + math.ceil(spread / math.log(10.0))):
+        with mp.workdps(dps):
+            bracket, scale, _ = _mp_curvature(spec, mp.mpf(p))
+            if not _below_noise(bracket, scale, dps):
+                return int(mp.sign(bracket))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +530,69 @@ def second_derivative_n3(spec: MeanSpec, p: float) -> float:
         return math.copysign(math.inf, t)
 
 
+# tilde_l' = g1 + g2 + g3, each g = lq[a] lq[b] (pq[c] d[k] lq[e] + pq[c'] d[k'] lq[e']);
+# a row is ((a, b), ((c, k, e), (c', k', e'))), each pair (i, j) of lq and pq by index
+_SLOPE_TERMS = (
+    (((1, 0), (1, 2)), (((1, 2), 0, (1, 0)), ((1, 0), 2, (2, 1)))),
+    (((1, 0), (2, 0)), (((0, 2), 0, (1, 0)), ((0, 1), 1, (2, 0)))),
+    (((2, 0), (2, 1)), (((2, 1), 1, (2, 0)), ((2, 0), 2, (2, 1)))),
+)
+
+
+def _slope(lq, elq, d, pq, total, u, q) -> tuple:
+    """(tilde_l', a bound on its error) at q = p - 1.
+
+    lq[i][j] is log(x_i / x_j) to within elq[i][j], pq[i][j] the power of
+    x_i / x_j taken from it, u the unit roundoff of the arithmetic. Each of
+    the six products carries the relative errors of its three logs, |q|
+    times that of its power's log, the rounding of the power and 16 u for
+    its own roundings; the bound sums the products' shares.
+    """
+    gs, shares = [], []
+    for (a, b), parts in _SLOPE_TERMS:
+        w = lq[a[0]][a[1]] * lq[b[0]][b[1]]
+        terms = [pq[i][j] * d[k] * lq[e[0]][e[1]] for (i, j), k, e in parts]
+        gs.append(w * (terms[0] + terms[1]))
+        for ((i, j), _, e), t in zip(parts, terms):
+            if w and t:
+                rel = sum(elq[r][s] / abs(lq[r][s]) for r, s in (a, b, e))
+                rel += abs(q) * elq[i][j] + u * (abs(q * lq[i][j]) + 16)
+                shares.append(abs(w * t) * rel)
+    return total(gs), total(shares)
+
+
+def _slope_mp(spec: MeanSpec, q: float):
+    """tilde_l' in mpmath from the values, the logs of the quotients taken
+    there too, with more digits until its error bound is within the
+    rounding of a double."""
+    for dps in (40, 80, 160, 320):
+        with mp.workdps(dps):
+            x = [mp.mpf(v) for v in spec.values]
+            lq = [[mp.log(xi / xj) for xj in x] for xi in x]
+            elq = [[2 * mp.eps * (1 + abs(v)) for v in row] for row in lq]
+            pq = [[mp.exp(q * v) for v in row] for row in lq]
+            value, bound = _slope(lq, elq, (x[0] - x[1], x[0] - x[2], x[1] - x[2]), pq, mp.fsum, mp.eps, q)
+            if bound <= _U * abs(value):
+                break
+    return value
+
+
 def tilde_l_prime(spec: MeanSpec, p: float) -> float:
     """Derivative of tilde_l; non-positive for every p, strictly negative
     when the three values are pairwise distinct. Taken in the double range
-    as tilde_l is."""
+    as tilde_l is; where the sum is within the rounding of its terms (the
+    logs of quotients of near-equal values have lost their digits) it is
+    taken again in mpmath (_slope_mp)."""
     _require_n3(spec)
+    q = float(p) - 1.0
     lq = _quotients(spec)
-
-    def value(d, pq, total):
-        g1 = lq[1][0] * lq[1][2] * (pq[1][2] * d[0] * lq[1][0] + pq[1][0] * d[2] * lq[2][1])
-        g2 = lq[1][0] * lq[2][0] * (pq[0][2] * d[0] * lq[1][0] + pq[0][1] * d[1] * lq[2][0])
-        g3 = lq[2][0] * lq[2][1] * (pq[2][1] * d[1] * lq[2][0] + pq[2][0] * d[2] * lq[2][1])
-        return (total((g1, g2, g3)),)
-
-    return float(_in_double_range(spec, value, lq, float(p) - 1.0)[0])
+    l = spec.log_values
+    # the rounding of a quotient and of log, or of two logs and their difference
+    elq = [[2.0 * _U * (1.0 + abs(li) + abs(lj)) for lj in l] for li in l]
+    value, bound = _in_double_range(spec, lambda d, pq, total: _slope(lq, elq, d, pq, total, _U, q), lq, q)
+    if abs(value) <= bound:
+        value = _slope_mp(spec, q)
+    return float(value)
 
 
 def n3_inequalities(spec: MeanSpec, p: float) -> N3Slacks:

@@ -5,12 +5,15 @@ _ExpSum and _end): past its right end the term of the largest exponent
 outweighs all the others, past its left end the term of the smallest, so
 L'' keeps its asymptotic sign (positive on the left, negative on the right)
 and every root lies inside. Then clear the cells of a uniform grid over
-that window that provably hold no zero of L'', coarse cells first; evaluate the sign of L'' only at
-the ends of the cells that remain; bracket every sign change; split the
-remaining cells without one at dyadic midpoints, again clearing what can be
-cleared; and refine all brackets by section bisection (see _bisect_all): one
-kernel call gives the signs at the next six levels of midpoints of every
-open bracket, and each bracket takes up to six bisection steps from them.
+that window that provably hold no zero of L'', coarse cells first; evaluate
+L'' only at the ends of the cells that remain and at a halo of two grid
+points on either side of them, which gives the flanks of exact zeros and
+the local scale of each bracket; bracket every sign change between the ends
+of a remaining cell; split the remaining cells without one at dyadic
+midpoints, again clearing what can be cleared; and refine all brackets by
+section bisection (see _bisect_all): one kernel call gives the signs at the
+next six levels of midpoints of every open bracket, and each bracket takes
+up to six bisection steps from them.
 The steps, and so the midpoints, are those of one kernel call per step.
 
 Specs are scanned in batches (_scan_many; find_inflections is a batch of
@@ -45,10 +48,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import mpmath as mp
 import numpy as np
 
-from .calculus import _EXTENDED_DPS, _check_precision, _mp_curvature, k_constant, second_derivative
+from .calculus import _check_precision, _mp_sign, k_constant, second_derivative
 from .core import MeanSpec, merge_equal_values
 from .core import _lehmer_value, asymptotes  # noqa: F401  -- perfbench/spans.py traces these names here
 from .errors import DegenerateError, NoInflectionError, RangeExhaustedError, UsageError
@@ -221,26 +223,6 @@ class _Kernel:
         with np.errstate(divide="ignore"):
             logmag = t_max + np.log(np.abs(qsum)) - 2.0 * (shift + np.log(sv))
         return np.sign(qsum).astype(np.int8), logmag
-
-
-def _mp_sign(spec: MeanSpec, p: float) -> int:
-    """Sign of L''(p) from the bracket; L > 0, so the bracket's sign suffices.
-
-    The bracket is taken at 50 digits. Where the terms w_i x_i^p and
-    w_i x_i^(p-1) spread over more decades than that, the smaller ones vanish
-    from the sums, and the bracket cancels to 0 or to noise away from any
-    root. Below its noise floor it is taken again with as many more digits
-    as the terms spread over; a bracket still below the floor there is a
-    root to those digits, and its sign is 0.
-    """
-    l, lw = spec.log_values, spec.log_weights
-    spread = max(abs(p), abs(p - 1.0)) * (max(l) - min(l)) + (max(lw) - min(lw))
-    for dps in (_EXTENDED_DPS, _EXTENDED_DPS + math.ceil(spread / math.log(10.0))):
-        with mp.workdps(dps):
-            bracket, scale, _ = _mp_curvature(spec, mp.mpf(p))
-            if abs(bracket) >= mp.mpf(10) ** (8 - dps) * scale:
-                return int(mp.sign(bracket))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +411,7 @@ class _Grid:
         return (idx + self.k_lo).astype(float) / self.per_unit
 
     def point(self, k: int) -> float:
-        return float(self.points(np.array([k]))[0])
+        return float(k + self.k_lo) / self.per_unit
 
     @property
     def span(self) -> tuple[float, float]:
@@ -606,26 +588,36 @@ def _collect_brackets(
     on its grid and in its split cells.
 
     Also returns, per spec, the counts for the scan's debug line: live grid
-    cells, kernel points on the grid, and split cells left uncleared. The
-    grid, each split level and the points around the brackets are one
-    kernel call each for the whole batch.
+    cells, kernel points on the grid (halo included), and split cells left
+    uncleared. The grid, with a halo of two points on either side of every
+    live cell, and each split level are one kernel call each for the whole
+    batch.
     """
     live = _live_cells(grids, batch)
-    known = [_sorted_unique(np.concatenate((cells, cells + 1))) for cells, _ in live]
+    # the ends of every live cell and two grid points on either side: the
+    # flanks of a run of zeros and the local scale of a bracket (see _brackets)
+    known = [
+        _sorted_unique(np.clip(np.concatenate([cells + shift for shift in range(-2, 4)]), 0, grid.size - 1))
+        for (cells, _), grid in zip(live, grids)
+    ]
     on_grid = _joined(batch, {k: (grid.points(known[k]),) for k, grid in enumerate(grids)})
     signs = [on_grid[k][0] for k in range(len(grids))]
     logmag = [on_grid[k][1] for k in range(len(grids))]
-    s_lo, s_hi, splits = [], [], []
+    runs, changes, splits = [], [], []
     for k, (cells, tested) in enumerate(live):
         pos = np.searchsorted(known[k], cells)
-        s_lo.append(signs[k][pos])
-        s_hi.append(signs[k][pos + 1])
+        s_lo, s_hi = signs[k][pos], signs[k][pos + 1]
+        # runs of live-cell ends where the kernel is exactly zero: a root that
+        # fell on the grid (opposite flanking signs) or a tangential touch
+        zeros = _sorted_unique(np.concatenate((cells[s_lo == 0], cells[s_hi == 0] + 1)))
+        runs.append(np.split(zeros, np.nonzero(np.diff(zeros) != 1)[0] + 1) if zeros.size else [])
+        changes.append(cells[s_lo * s_hi < 0].tolist())
         # equal-sign live cells: split at dyadic midpoints, keeping the halves
         # exclusion cannot clear, for _SPLIT_DEPTH levels
-        flat = (s_lo[k] == s_hi[k]) & (s_lo[k] != 0)
+        flat = (s_lo == s_hi) & (s_lo != 0)
         base = cells[flat & tested]
         splits.append(
-            _Split(grids[k].points(base), grids[k].points(base + 1), s_lo[k][flat & tested], base,
+            _Split(grids[k].points(base), grids[k].points(base + 1), s_lo[flat & tested], base,
                    int(np.count_nonzero(flat & ~tested)))
         )
     for _depth in range(_SPLIT_DEPTH):
@@ -642,36 +634,10 @@ def _collect_brackets(
     for split in splits:
         split.uncleared += int(split.los.size)  # survivors of the last level are dropped
 
-    # runs of grid points where the kernel is exactly zero: a root that fell
-    # on the grid (opposite flanking signs) or a tangential touch
-    runs, changes, wanted = [], [], {}
-    for k, (cells, _) in enumerate(live):
-        zeros = known[k][signs[k] == 0]
-        runs.append(np.split(zeros, np.nonzero(np.diff(zeros) != 1)[0] + 1) if zeros.size else [])
-        changes.append(cells[s_lo[k] * s_hi[k] < 0].tolist())
-        # the local scale of a bracket is the largest log|L''| over its grid
-        # cell and two grid points on either side; evaluate what the scan skipped
-        bracket_cells = np.array(changes[k] + [item[3] for item in splits[k].found], dtype=np.int64)
-        ends = [j for run in runs[k] for j in (run[0] - 1, run[-1] + 1)]
-        want = np.concatenate([bracket_cells + shift for shift in range(-2, 4)] + [np.array(ends, dtype=np.int64)])
-        want = _sorted_unique(want[(want >= 0) & (want < grids[k].size)])
-        want = want[~np.isin(want, known[k], assume_unique=True, kind="sort")]
-        if want.size:
-            wanted[k] = want
-    n_points = [known[k].size + (wanted[k].size if k in wanted else 0) for k in range(len(grids))]
-    if wanted:
-        around = _joined(batch, {k: (grids[k].points(want),) for k, want in wanted.items()})
-        for k, want in wanted.items():
-            all_known = np.concatenate((known[k], want))
-            order = np.argsort(all_known)
-            known[k] = all_known[order]
-            signs[k] = np.concatenate((signs[k], around[k][0]))[order]
-            logmag[k] = np.concatenate((logmag[k], around[k][1]))[order]
-
     out = []
     for k, grid in enumerate(grids):
         brackets = _brackets(grid, known[k], signs[k], logmag[k], runs[k], changes[k], splits[k], warnings[k])
-        out.append((brackets, (live[k][0].size, n_points[k], splits[k].uncleared)))
+        out.append((brackets, (live[k][0].size, known[k].size, splits[k].uncleared)))
     return out
 
 
@@ -1022,7 +988,7 @@ def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
         lo, hi = window.grid.span
         _log.debug(
             "scan window [%g, %g] (left end %s, right end %s): "
-            "%d live grid cells, %d kernel points on the grid, %d split cells left uncleared",
+            "%d live grid cells, %d kernel points on the grid (halo included), %d split cells left uncleared",
             lo,
             hi,
             *window.reasons,

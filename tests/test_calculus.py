@@ -320,11 +320,13 @@ def _ref_second_derivative(spec, p, precision):
     if spec.is_constant:
         return 0.0
     bracket, scale = _double_bracket(spec, p)
-    if precision == "auto" and scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
+    if scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
         value = _ref_pairwise_second_derivative(spec, p)
-        if value is None:
+        if value is not None:
+            return value
+        if precision == "auto":
             value = _second_derivative_mp(spec, p)
-        return 0.0 if value is None else value
+            return 0.0 if value is None else value
     return _ref_lehmer(spec, p) * bracket
 
 
@@ -639,6 +641,33 @@ class TestPairwiseFallback:
                     assert abs(got - want) <= 1e-5 * abs(want), (values, p, got, want)
         assert kept and handed_on, (kept, handed_on)
 
+    @pytest.mark.parametrize(
+        "values, ps, least",
+        [
+            ([0.5, 2.5], [k / 2.0 for k in range(-120, 121)], 180),
+            ([1e-200, 1e-150, 1e305], [1.2, -2.0], 2),
+        ],
+    )
+    def test_standard_takes_the_pairwise_form(self, values, ps, least):
+        # "standard" once returned L * bracket here: exactly 0.0 at 145 of the
+        # pair's points (-40 among them) and at both of the triple's, where
+        # the true values are 1.139e-28, -1.0976e220 and 1.3255e-296
+        spec = make_spec(values)
+        handed_on = 0
+        for p in ps:
+            got = second_derivative(spec, p, precision="standard")
+            bracket, scale = _double_bracket(spec, p)
+            if abs(bracket) >= _CANCELLATION_LIMIT * scale:
+                continue
+            if calculus._pairwise_second_derivative(spec, p) is None:
+                # the pairwise form cancels too: "standard" stops before 50 digits
+                assert got == _ref_lehmer(spec, p) * bracket, (values, p)
+                continue
+            handed_on += 1
+            want = _mp_moment_second_derivative(spec, p, got)
+            assert want != 0.0 and abs(got - want) <= self._tolerance(spec, p, True) * abs(want), (values, p, got, want)
+        assert handed_on >= least, handed_on
+
     def test_beyond_the_largest_double(self):
         # L'' of this pair near p = 1 exceeds 1.8e308: infinite, as L * bracket gives it
         spec = make_spec([1e-300, 1.7e308])
@@ -804,6 +833,30 @@ class TestTripleClosedForm:
             values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 3)).tolist()
             spec = make_spec(values)
             assert tilde_l_prime(spec, float(rng.uniform(-20.0, 20.0))) <= 1e-12
+
+    def test_slope_of_near_equal_values(self, rng, monkeypatch):
+        # log(x_i / x_j) of values an ulp apart keeps no digit in doubles: the
+        # double sum was +1.16e-11 for the first case, against -2.554e-26.
+        # Where the double sum is within its rounding bound, the slope is
+        # taken again in mpmath and must have every digit of a double.
+        retaken = []
+        slope_mp = calculus._slope_mp
+        monkeypatch.setattr(calculus, "_slope_mp", lambda spec, q: retaken.append(q) or slope_mp(spec, q))
+        cases = [([7.0, 0.1, 0.10000000000000002], -19.0)]
+        for _ in range(300):
+            values = rng.uniform(0.1, 10.0, 3).tolist()
+            values[2] = float(np.nextafter(values[1], 20.0)) if rng.random() < 0.5 else values[1] * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0))
+            cases.append((values, float(rng.uniform(-20.0, 20.0))))
+        checked = 0
+        for values, p in cases:
+            before = len(retaken)
+            got = tilde_l_prime(make_spec(values), p)
+            assert got < 0.0, (values, p, got)
+            if len(retaken) > before:
+                want = float(_mp_n3(values, p)[1][0])
+                assert abs(got - want) <= 1e-12 * abs(want), (values, p, got, want)
+                checked += 1
+        assert retaken[0] == -20.0 and checked >= 5, checked
 
     def test_slope_matches_finite_difference(self, rng):
         h = 1e-6

@@ -40,7 +40,7 @@ from lehmer.inflection import (
     _shape,
     _windows,
 )
-from lehmer.search import Cluster
+from lehmer.search import Cluster, LogUniform
 
 THREE_ROOT_VALUES = [1.0259, 1.0241, 1.0244, 0.96]
 # located by this scanner, then re-bisected on 50-digit arithmetic
@@ -591,6 +591,58 @@ class TestExclusionSoundness:
         [(cells, tested)] = _live_cells([_Grid(-65536, 65536)], _Batch([spec]))
         assert 3 <= cells.size <= 200
         assert tested.all()
+
+
+class TestGridHalo:
+    """One kernel call evaluates the grid: the ends of the live cells and two
+    grid points on either side, from which each bracket's local scale and
+    the flanks of exact zeros are read."""
+
+    def test_one_kernel_call_for_the_grid(self, rng, monkeypatch):
+        # then one call per split level; nothing else
+        levels = {}
+        step = inflection._Split.step
+
+        def counted(split, mids, sm):
+            levels[id(split)] = levels.get(id(split), 0) + 1
+            step(split, mids, sm)
+
+        monkeypatch.setattr(inflection._Split, "step", counted)
+        draws = [make_spec(LogUniform().draw(rng, 3).tolist()) for _ in range(8)]
+        split_levels = []
+        for specs in ([make_spec([1.0, 2.0, 3.0])], [make_spec(THREE_ROOT_VALUES)], draws):
+            levels.clear()
+            batch = _Batch(specs)
+            assert len(batch.kernels) == 1
+            _collect_brackets(batch, [window.grid for window in _windows(batch)], [[] for _ in specs])
+            split_levels.append(max(levels.values(), default=0))
+            assert batch.calls == 1 + split_levels[-1], (specs, split_levels[-1])
+        assert max(split_levels) > 0
+
+    def test_local_scale_is_the_largest_log_magnitude_nearby(self, rng):
+        cluster = Cluster()
+        specs = [make_spec(THREE_ROOT_VALUES)]
+        specs += [make_spec(LogUniform().draw(rng, 3).tolist()) for _ in range(50)]
+        specs += [make_spec(cluster.draw(rng, 4).tolist()) for _ in range(50)]
+        checked = 0
+        for spec in specs:
+            batch = _Batch([spec])
+            [window] = _windows(batch)
+            grid = window.grid
+            [(brackets, _)] = _collect_brackets(batch, [grid], [[]])
+            kernel = _Kernel([spec])  # one point per call
+            for br in brackets:
+                if br.exact_p is None:
+                    # grid points k-2 .. k+3 around the bracket's cell [k, k+1]
+                    k = math.floor(br.lo * grid.per_unit) - grid.k_lo
+                    around = range(max(k - 2, 0), min(k + 4, grid.size))
+                else:
+                    # a run of zeros: its two flanks
+                    around = [round(br.lo * grid.per_unit) - grid.k_lo, round(br.hi * grid.per_unit) - grid.k_lo]
+                want = max(float(kernel(np.array([grid.point(j)]))[1][0]) for j in around)
+                assert br.local_log_scale == want, (spec.values, br.lo, br.hi)
+                checked += 1
+        assert checked >= 120, checked
 
 
 def _stepwise_bisection(kernel, brackets, tolerance):

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lehmer import (
     count_bound,
@@ -80,6 +80,7 @@ def test_pair_closed_form_matches_general(x1, x2, p):
     st.floats(min_value=0.1, max_value=10.0),
     p_st,
 )
+@example(7.0, 0.1, 0.10000000000000002, -19.0)  # the double sum was +1.16e-11 here
 @settings(max_examples=200, deadline=None)
 def test_triple_inequalities_and_slope(x1, x2, x3, p):
     spec = make_spec([x1, x2, x3])

@@ -37,3 +37,19 @@ def test_every_exported_name_resolves_once(path):
     missing = sorted(n for n in exported if not hasattr(module, n))
     assert not twice, f"{name}.__all__ lists {', '.join(twice)} more than once"
     assert not missing, f"{name}.__all__ lists {', '.join(missing)}, which {name} does not define"
+
+
+def test_traced_sites_resolve():
+    # perfbench/spans.py swaps its wrappers in by (module, attribute); a
+    # name it patches must stay where it looks for it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    [sites] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_SITES" for t in node.targets)
+    ]
+    pairs = [tuple(ast.literal_eval(item))[:2] for item in sites.elts]
+    assert pairs
+    missing = [f"{module}.{attr}" for module, attr in pairs if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, f"perfbench/spans.py traces {', '.join(missing)}, which lehmer does not define"
