@@ -21,13 +21,16 @@ from the pairwise form that the scan's sign kernel uses,
           / (sum_k w_k x_k^(p-1))^2,   d_i = log x_i - m_1(p-1),
 
 taken from the ratios log(x_i/x_k) so that values a few ulps apart keep
-their digits (see _pairwise_second_derivative). That sum cancels near a root
+their digits (see _pairwise_parts). That sum cancels near a root
 of L''. Only where it too loses more than ten digits, measured against the
 rounding each of its terms can carry, does "auto" escalate to 50-digit
 arithmetic ("standard" keeps the double bracket there); a 50-digit bracket
 that cancels to noise in turn gives the pairwise value where that keeps ten
-digits, and 0.0 only where it does not. The p-independent constants of the
-pairwise terms are kept per spec (MeanSpec.pair_table) and shared with L'.
+digits, and 0.0 only where it does not. The double steps, and a bound on
+|L''| where both forms cancel, are _double_second_derivative, which the scan
+also reads to decide whether a residual needs its 50 digits at once. The
+p-independent constants of the pairwise terms are kept per spec
+(MeanSpec.pair_table) and shared with L'.
 
 Each exponent gets one table of powers (core._powers: the shifted terms
 w_i x_i^p, their largest and their exact sum). An evaluation point
@@ -39,8 +42,11 @@ computes the powers w_i x_i^p and w_i x_i^(p-1) once per call and shares
 them among the four moments and L; the values, weights, logs and squared
 logs it needs at the working precision are kept for the last few specs, so
 a bisection or a finite-difference oracle that asks about one spec many
-times converts and takes logs only once. Both paths round exactly as
-separate passes would.
+times converts and takes logs only once. Those constants also hold each
+value's log as mpmath's power takes it, at 10 more bits, and x_i^p and
+x_i^(p-1) share it: a power whose exponent is neither an integer nor a
+half-integer is then one exp per term (see _mp_terms). Both paths round
+exactly as separate passes, and mp.power, would.
 
 For two and three values the module also provides the closed forms of L''
 and, for n=3, the constant K, the bracketed factor tilde_l whose single root
@@ -61,6 +67,7 @@ from math import exp, fsum, log
 from typing import Callable, NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import mpf_exp, mpf_log, mpf_mul
 
 from .core import MeanSpec, _lehmer_value, _point, _powers
 from .errors import UsageError
@@ -164,7 +171,7 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
     """
     p = float(p)
     _check_precision(precision)
-    tp, tq, mean = _point(spec, p)
+    _point(spec, p)  # DomainError for a non-finite p, in every precision
     if spec.is_constant:
         return 0.0
     if precision == "extended":
@@ -172,6 +179,31 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
         if value is None:
             value = _pairwise_second_derivative(spec, p)
         return 0.0 if value is None else value
+    value, bound = _double_second_derivative(spec, p)
+    if bound is None or precision == "standard":
+        return value
+    return _fifty_digit_second_derivative(spec, p)
+
+
+def _fifty_digit_second_derivative(spec: MeanSpec, p: float) -> float:
+    """L''(p) as "auto" gives it where both double forms cancel (see
+    _double_second_derivative): the 50-digit bracket, or 0.0 where that
+    cancels below its own floor too. Below the floor the value is noise:
+    reporting it signed would contradict the closed forms."""
+    value = _second_derivative_mp(spec, p)
+    return 0.0 if value is None else value
+
+
+def _double_second_derivative(spec: MeanSpec, p: float) -> tuple[float, float | None]:
+    """(L''(p) as "standard" gives it, None) where the double bracket or the
+    pairwise form keeps ten decimal digits; else (L * bracket, a bound on
+    |L''(p)|), where "auto" goes to 50 digits.
+
+    The bound is the pairwise form's |sum| plus 1e-10 of its size, in the
+    form's own scale: far above the rounding its terms can carry. It is inf
+    where the form has no pairs or its scale leaves the double range.
+    """
+    tp, tq, mean = _point(spec, p)
     m1p = _table_moment(spec, tp, 1)
     m1q = _table_moment(spec, tq, 1)
     m2p = _table_moment(spec, tp, 2)
@@ -180,19 +212,38 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
     bracket = fsum(terms)
     scale = max(abs(t) for t in terms)
     if scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
-        value = _pairwise_second_derivative(spec, p)
-        if value is not None:
-            return value
-        if precision == "auto":
-            # below the 50-digit floor the value is noise: reporting it
-            # signed would contradict the closed forms
-            value = _second_derivative_mp(spec, p)
-            return 0.0 if value is None else value
-    return mean * bracket
+        parts = _pairwise_parts(spec, p)
+        if parts is None:
+            return mean * bracket, math.inf
+        s, size, t_max, log_den = parts
+        if abs(s) > _CANCELLATION_LIMIT * size:
+            return _pairwise_value(s, t_max, log_den), None
+        try:
+            return mean * bracket, exp(t_max + log(abs(s) + _CANCELLATION_LIMIT * size) - log_den)
+        except (OverflowError, ValueError):  # beyond the double range, or every term exactly 0
+            return mean * bracket, math.inf
+    return mean * bracket, None
 
 
 def _pairwise_second_derivative(spec: MeanSpec, p: float) -> float | None:
-    """L''(p) from the pairwise form, or None where it keeps under ten digits.
+    """L''(p) from the pairwise form, or None where it keeps under ten digits."""
+    parts = _pairwise_parts(spec, p)
+    if parts is None or abs(parts[0]) <= _CANCELLATION_LIMIT * parts[1]:
+        return None
+    return _pairwise_value(parts[0], parts[2], parts[3])
+
+
+def _pairwise_value(s: float, t_max: float, log_den: float) -> float:
+    """L'' = s exp(t_max - log_den) from the parts of _pairwise_parts."""
+    try:
+        return math.copysign(exp(t_max + log(abs(s)) - log_den), s)
+    except OverflowError:  # |L''| beyond the largest double, as L * bracket would give
+        return math.copysign(math.inf, s)
+
+
+def _pairwise_parts(spec: MeanSpec, p: float) -> tuple[float, float, float, float] | None:
+    """The pairwise form of L''(p) as (s, size, t_max, log_den), with
+    L''(p) = s exp(t_max - log_den); None for a spec without pairs.
 
     With r_ik = log(x_i / x_k) (MeanSpec.log_ratios) and v_k = w_k x_k^(p-1)
     over the largest of them, taken as exp((p-1) r_k,top + log w_k - log w_top),
@@ -236,19 +287,15 @@ def _pairwise_second_derivative(spec: MeanSpec, p: float) -> float | None:
     e = [exp(t - t_max) for t in ts]
     s = fsum(ek * sk for ek, sk in zip(e, sums))
     size = fsum(ek * mk for ek, mk in zip(e, sizes))
-    if abs(s) <= _CANCELLATION_LIMIT * size:
-        return None
-    try:
-        return math.copysign(exp(t_max + log(abs(s)) - 3.0 * log(fsum(v))), s)
-    except OverflowError:  # |L''| beyond the largest double, as L * bracket would give
-        return math.copysign(math.inf, s)
+    return s, size, t_max, 3.0 * log(fsum(v))
 
 
 @functools.lru_cache(maxsize=16)
 def _mp_constants_at(
     values: tuple[float, ...], weights: tuple[float, ...], prec: int, rnd: str
 ) -> tuple[tuple[mp.mpf, ...], ...]:
-    """The mpf values, weights, logs and squared logs of one spec.
+    """The mpf values, weights, logs and squared logs of one spec, and the
+    logs of the values as mpmath's power takes them (raw, with 10 more bits).
 
     prec and rnd are the working precision and rounding in force, which these
     are computed at; they are part of the key so that a change of precision
@@ -256,11 +303,13 @@ def _mp_constants_at(
     """
     xs = tuple(mp.mpf(v) for v in values)
     logs = tuple(mp.log(x) for x in xs)
-    return xs, tuple(mp.mpf(w) for w in weights), logs, tuple(li**2 for li in logs)
+    power_logs = tuple(mpf_log(x._mpf_, prec + 10, rnd) for x in xs)
+    return xs, tuple(mp.mpf(w) for w in weights), logs, tuple(li**2 for li in logs), power_logs
 
 
-def _mp_constants(spec: MeanSpec) -> tuple[tuple[mp.mpf, ...], ...]:
-    """(values, weights, logs, squared logs) of spec at the current working precision.
+def _mp_constants(spec: MeanSpec) -> tuple[tuple, ...]:
+    """(values, weights, logs, squared logs, power logs) of spec at the
+    current working precision.
 
     Kept for the last 16 specs only: a scan, a 50-digit bisection or a
     finite-difference oracle asks for the same spec many times in a row.
@@ -269,10 +318,20 @@ def _mp_constants(spec: MeanSpec) -> tuple[tuple[mp.mpf, ...], ...]:
     return _mp_constants_at(spec.values, spec.weights, prec, rnd)
 
 
-def _mp_terms(spec: MeanSpec, p) -> list[mp.mpf]:
-    """Weights w_i x_i^p as mpf values at the current working precision."""
-    xs, ws, _, _ = _mp_constants(spec)
-    return [w * mp.power(x, p) for x, w in zip(xs, ws)]
+def _mp_terms(spec: MeanSpec, p: mp.mpf) -> list[mp.mpf]:
+    """Weights w_i x_i^p as mpf values at the current working precision.
+
+    Bit for bit w_i * mp.power(x_i, p). For an exponent that is neither an
+    integer nor a half-integer, mpmath's power is exp(p log x_i), with the
+    log taken at 10 more bits; that log is read from the cache here, and
+    only the exp is taken per call.
+    """
+    xs, ws, _, _, power_logs = _mp_constants(spec)
+    t = p._mpf_
+    if t[2] >= -1:  # an integer or a half-integer: mpmath takes its own path
+        return [w * mp.power(x, p) for x, w in zip(xs, ws)]
+    prec, rnd = mp.mp._prec_rounding
+    return [w * mp.make_mpf(mpf_exp(mpf_mul(t, c), prec, rnd)) for c, w in zip(power_logs, ws)]
 
 
 def _mp_lehmer(spec: MeanSpec, p) -> mp.mpf:
@@ -291,7 +350,7 @@ def _mp_curvature(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
     u_q = _mp_terms(spec, p - 1)
     s_p = mp.fsum(u_p)
     s_q = mp.fsum(u_q)
-    _, _, logs, squares = _mp_constants(spec)
+    _, _, logs, squares, _ = _mp_constants(spec)
     m1p = mp.fsum(ui * li for ui, li in zip(u_p, logs)) / s_p
     m1q = mp.fsum(ui * li for ui, li in zip(u_q, logs)) / s_q
     m2p = mp.fsum(ui * li for ui, li in zip(u_p, squares)) / s_p

@@ -11,10 +11,17 @@ points on either side of them, which gives the flanks of exact zeros and
 the local scale of each bracket; bracket every sign change between the ends
 of a remaining cell; split the remaining cells without one at dyadic
 midpoints, again clearing what can be cleared; and refine all brackets by
-section bisection (see _bisect_all): one kernel call gives the signs at the
-next six levels of midpoints of every open bracket, and each bracket takes
-up to six bisection steps from them.
-The steps, and so the midpoints, are those of one kernel call per step.
+bisection in about two kernel calls (see _bisect_all): the first gives the
+signs at the next six levels of midpoints of every open bracket, each
+bracket takes up to six steps from them, and the signs and magnitudes
+there predict its root; the second evaluates, per level down to the
+tolerance, the midpoint bisection takes toward that prediction and that of
+the other half. A walk that leaves the path takes six levels again. The
+steps, and so the midpoints, are those of one kernel call per step.
+
+A root's residual |L''(p*)| that would need 50 digits and decides nothing
+is taken when it is first read (see _report): search and verify never read
+one.
 
 Specs are scanned in batches (_scan_many; find_inflections is a batch of
 one). The exclusion levels, the grid, the split levels and every round of
@@ -43,14 +50,24 @@ Each t_ij term is shifted by the running maximum before exponentiation.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import _check_precision, _mp_sign, k_constant, second_derivative
+from .calculus import (
+    _check_precision,
+    _double_second_derivative,
+    _fifty_digit_second_derivative,
+    _mp_sign,
+    k_constant,
+    second_derivative,
+)
 from .core import MeanSpec, merge_equal_values
 from .core import _lehmer_value, asymptotes  # noqa: F401  -- perfbench/spans.py traces these names here
 from .errors import DegenerateError, NoInflectionError, RangeExhaustedError, UsageError
@@ -80,19 +97,40 @@ _MARGIN = 1e-9                 # relative slack on every exclusion comparison
 _U = 2.0**-53                  # unit roundoff of doubles
 _LN2 = math.log(2.0)
 _ESCALATION_FACTOR = 1e-3      # refined residual vs local curvature scale
+_DEFER_MARGIN = 1e3            # a residual bounded this far below the escalation threshold waits until read
 _CHUNK_ELEMENTS = 1 << 21      # elements per vectorized kernel chunk
 _TEST_ELEMENTS = 1 << 16       # cells times terms per exclusion chunk
 _PARTIAL_BUDGET = 400_000      # grid points for the post-exhaustion pass
-_MAX_BISECT_ITER = 128
-_SECTION_DEPTH = 6             # bisection steps per kernel call
+_MAX_BISECT_ITER = 128         # bisection steps per bracket
+_SECTION_DEPTH = 6             # bisection levels of a tree round
 _WINDOW_STEPS = 64             # Newton steps per window end before it counts as not certifiable
+
+
+class _Deferred:
+    """A float field that may be given as a function of no arguments, which
+    gives its value when the field is first read; equality, hash and repr
+    read it, so they see the value."""
+
+    def __set_name__(self, owner, name: str):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot[1:])  # so the dataclass gives the field no default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
 
 
 @dataclass(frozen=True)
 class InflectionRoot:
     p_star: float
     bracket: tuple[float, float]
-    residual: float
+    residual: float = _Deferred()  # |L''(p_star)|, taken when first read where it is 50-digit work
     direction: str  # "convex-to-concave" or "concave-to-convex"
 
 
@@ -685,75 +723,158 @@ def _brackets(
 
 
 def _sections(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
-    """Midpoints of the next depth bisection levels of each [lo, hi], heap-ordered.
+    """The midpoints of the next depth bisection levels of each [lo, hi].
 
-    Row t holds the tree of bracket t: node 1 is the midpoint of [lo, hi];
-    nodes 2i and 2i+1 are those of the left and right halves at node i;
-    node 0 is unused. Level d splits the 2^d intervals between consecutive
-    breakpoints of the levels above, so every node is the midpoint that
-    plain bisection would take there. Nodes the walk cannot reach, below an
-    interval within tolerance or a midpoint stuck at the resolution of the
-    floats, are computed all the same and never read.
+    Row t holds the 2^depth - 1 midpoints of bracket t in ascending order.
+    Level d splits the 2^d intervals between consecutive breakpoints (lo,
+    hi and the midpoints of the levels above), so the point halfway between
+    two others, by index, is the midpoint that plain bisection takes there.
+    Points the walk cannot reach, below an interval within tolerance or a
+    midpoint stuck at the resolution of the floats, are computed all the
+    same and never read.
     """
-    tree = np.empty((lo.shape[0], 1 << depth))
-    tree[:, 0] = math.nan
-    ends = np.empty((lo.shape[0], (1 << depth) + 1))  # the breakpoints of the deepest level
+    ends = np.empty((lo.shape[0], (1 << depth) + 1))
     ends[:, 0] = lo
     ends[:, -1] = hi
     for level in range(depth):
         step = 1 << (depth - level)
-        mids = 0.5 * (ends[:, :-1:step] + ends[:, step::step])
-        ends[:, step >> 1 :: step] = mids
-        tree[:, 1 << level : 2 << level] = mids
-    return tree
+        ends[:, step >> 1 :: step] = 0.5 * (ends[:, :-1:step] + ends[:, step::step])
+    return ends[:, 1:-1]
 
 
-def _bisect_all(kernel, brackets: list[_Bracket], tolerance: float, owner: np.ndarray | None = None) -> np.ndarray:
-    """Refine every bracket by section bisection; returns the midpoints.
+def _estimate(lo: float, hi: float, nodes: list[tuple[float, int, float]]) -> float:
+    """The likely root in [lo, hi] from nodes (p, sign, log|L''|) near it:
+    the polynomial through the points (L''(p), p), taken at L'' = 0. The
+    midpoint where that fails or falls outside the bracket."""
+    guess = math.nan
+    if nodes:
+        top = max(lm for _, _, lm in nodes)
+        fs = [sign * math.exp(lm - top) for _, sign, lm in nodes]
+        guess = lo
+        try:
+            for i, ((q, _, _), f) in enumerate(zip(nodes, fs)):
+                guess += (q - lo) * math.prod(g / (g - f) for j, g in enumerate(fs) if j != i)
+        except ZeroDivisionError:
+            pass
+    return guess if lo < guess < hi else 0.5 * (lo + hi)
 
-    Each round evaluates, in one kernel call, the midpoints of the next
-    _SECTION_DEPTH bisection levels of every open bracket (see _sections),
-    and each bracket then takes up to that many steps from those signs. The
-    steps are those of plain bisection with one kernel call per step: stop
-    once hi - lo is within tolerance; collapse onto a midpoint that is stuck
-    at the resolution of the floats or where the sign is exactly zero; at
-    most _MAX_BISECT_ITER steps in all. Since a point's sign does not depend
-    on the call it is in (see _Kernel), the midpoints are the same, in fewer
-    and fuller calls: numpy dispatch, not the number of points, sets the
-    cost of a call. kernel is a _Kernel or a _Batch, and owner gives the
-    spec of each bracket in it (None: the one spec of a _Kernel).
+
+def _path(lo: float, hi: float, guess: float, tolerance: float, steps: int) -> list[float]:
+    """The bisection path of [lo, hi] toward guess: per level, the midpoint
+    and the midpoint of the half the path leaves, down to tolerance or for
+    at most steps levels. It stops before a midpoint stuck at the
+    resolution of the floats."""
+    out: list[float] = []
+    for _ in range(steps):
+        if hi - lo <= tolerance:
+            break
+        m = 0.5 * (lo + hi)
+        if m <= lo or m >= hi:
+            break
+        if guess < m:
+            out += (m, 0.5 * (m + hi))
+            hi = m
+        else:
+            out += (m, 0.5 * (lo + m))
+            lo = m
+    return out
+
+
+def _walk(lo: float, hi: float, sign_lo: int, tolerance: float, steps: int, held: dict) -> tuple[float, float, int]:
+    """Plain bisection of [lo, hi] on the signs held (point -> sign), as
+    (lo, hi, steps taken in all): stop once hi - lo is within tolerance or
+    after _MAX_BISECT_ITER steps; collapse onto a midpoint that is stuck at
+    the resolution of the floats or where the sign is exactly zero; pause
+    where the next midpoint is not held."""
+    while hi - lo > tolerance and steps < _MAX_BISECT_ITER:
+        m = 0.5 * (lo + hi)
+        if m <= lo or m >= hi:
+            return m, m, steps
+        sign = held.get(m)
+        if sign is None:
+            break
+        if sign == 0:
+            return m, m, steps
+        steps += 1
+        if sign == sign_lo:
+            lo = m
+        else:
+            hi = m
+    return lo, hi, steps
+
+
+def _bisect_all(
+    kernel, brackets: list[_Bracket], tolerance: float, owner: np.ndarray | None = None, counts: Counter | None = None
+) -> np.ndarray:
+    """Refine every bracket by bisection, in about two kernel calls; returns
+    the midpoints.
+
+    A bracket's first round is a tree: the midpoints of its next
+    _SECTION_DEPTH bisection levels (see _sections), from which it takes up
+    to that many steps. _estimate then predicts its root from the nodes
+    nearest the narrowed bracket, and the next round evaluates, per level
+    down to tolerance, the midpoint that bisection takes toward the
+    prediction and, as a hedge, that of the half it leaves. A walk that
+    needs a midpoint its round did not hold has missed, and takes a tree
+    round again. All open brackets share one kernel call per round.
+
+    Each walk is plain bisection (see _walk) and reads signs only at the
+    exact midpoints it takes. A point's sign does not depend on the call it
+    is in (see _Kernel), so the midpoints are those of one kernel call per
+    step, in fewer and fuller calls: numpy dispatch, not the number of
+    points, sets the cost of a call. kernel is a _Kernel or a _Batch, and
+    owner gives the spec of each bracket in it (None: the one spec of a
+    _Kernel). counts, where given, gains the "tree rounds", the "predicted
+    rounds" and the walks that "missed".
 
     The brackets themselves keep their original endpoints: escalation needs
     endpoints whose double-precision signs are trustworthy, and those are
     the grid-scale ones, not the refined pair straddling the root.
     """
+    counts = Counter() if counts is None else counts
     lo = [br.lo if br.exact_p is None else br.exact_p for br in brackets]
     hi = [br.hi if br.exact_p is None else br.exact_p for br in brackets]
-    steps = 0
-    while steps < _MAX_BISECT_ITER:
-        walks = [k for k in range(len(brackets)) if hi[k] - lo[k] > tolerance]
+    steps = [0] * len(brackets)
+    guess: list[float | None] = [None] * len(brackets)  # None: the next round is a tree
+    while True:
+        walks = [k for k in range(len(brackets)) if hi[k] - lo[k] > tolerance and steps[k] < _MAX_BISECT_ITER]
         if not walks:
             break
-        # no more levels than the widest bracket needs to reach tolerance
-        widest = max(hi[k] - lo[k] for k in walks) / tolerance if tolerance > 0.0 else math.inf
-        needed = math.frexp(widest)[1] if math.isfinite(widest) else _SECTION_DEPTH
-        depth = min(_SECTION_DEPTH, _MAX_BISECT_ITER - steps, needed)
-        trees = _sections(np.array([lo[k] for k in walks]), np.array([hi[k] for k in walks]), depth)
-        at = None if owner is None else owner[walks].repeat(trees.shape[1] - 1)
-        signs = kernel(trees[:, 1:].ravel(), at)[0].reshape(len(walks), -1)  # node i at i - 1
-        for k, tree, sign in zip(walks, trees.tolist(), signs.tolist()):
-            node = 1
-            for _ in range(depth):
-                if hi[k] - lo[k] <= tolerance:
-                    break
-                m = tree[node]
-                if m <= lo[k] or m >= hi[k] or sign[node - 1] == 0:
-                    lo[k] = hi[k] = m
-                elif sign[node - 1] == brackets[k].sign_lo:
-                    lo[k], node = m, 2 * node + 1
-                else:
-                    hi[k], node = m, 2 * node
-        steps += depth
+        trees = [k for k in walks if guess[k] is None]
+        paths = [k for k in walks if guess[k] is not None]
+        rows: list[list[float]] = []
+        if trees:
+            # no more levels than the widest bracket needs to reach tolerance
+            widest = max(hi[k] - lo[k] for k in trees) / tolerance if tolerance > 0.0 else math.inf
+            depth = min(_SECTION_DEPTH, math.frexp(widest)[1]) if math.isfinite(widest) else _SECTION_DEPTH
+            rows = _sections(np.array([lo[k] for k in trees]), np.array([hi[k] for k in trees]), depth).tolist()
+            counts["tree rounds"] += 1
+        if paths:
+            rows += [_path(lo[k], hi[k], guess[k], tolerance, _MAX_BISECT_ITER - steps[k]) for k in paths]
+            counts["predicted rounds"] += 1
+        sizes = [len(row) for row in rows]
+        ps = np.array([q for row in rows for q in row])
+        signs: list[int] = []
+        logmag: list[float] = []
+        if ps.size:
+            at = None if owner is None else owner[trees + paths].repeat(sizes)
+            signs, logmag = (a.tolist() for a in kernel(ps, at))
+        base = 0  # where the points of the next walk start
+        for k, row, size in zip(trees + paths, rows, sizes):
+            sign = signs[base : base + size]
+            lo[k], hi[k], steps[k] = _walk(lo[k], hi[k], brackets[k].sign_lo, tolerance, steps[k], dict(zip(row, sign)))
+            still_open = hi[k] - lo[k] > tolerance and steps[k] < _MAX_BISECT_ITER
+            if guess[k] is not None:
+                guess[k] = None
+                counts["missed"] += still_open
+            elif still_open:
+                # the four nodes nearest the narrowed bracket, which ends at node `right`
+                right, lm = bisect.bisect_left(row, hi[k]), logmag[base : base + size]
+                first = max(min(right - 2, size - 4), 0)
+                near = range(first, min(first + 4, size))
+                nodes = [(row[c], sign[c], lm[c]) for c in near if sign[c] != 0 and math.isfinite(lm[c])]
+                guess[k] = _estimate(lo[k], hi[k], nodes)
+            base += size
     return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
 
 
@@ -897,6 +1018,14 @@ def _above_scale(residual: float, log_scale: float) -> bool:
         return residual > 0.0 and math.log(residual) - log_scale > math.log(_ESCALATION_FACTOR)
 
 
+def _residual(spec: MeanSpec, p: float, precision: str) -> float:
+    """|second_derivative(spec, p, precision)| for "extended", and for "auto"
+    at a p where both double forms cancel, without taking those again."""
+    if precision == "extended":
+        return abs(second_derivative(spec, p, precision=precision))
+    return abs(_fifty_digit_second_derivative(spec, p))
+
+
 def _report(
     spec: MeanSpec,
     brackets: list[_Bracket],
@@ -904,11 +1033,23 @@ def _report(
     scan_range: tuple[float, float],
     precision: str,
     warnings: list[str],
+    counts: Counter | None = None,
 ) -> InflectionReport:
     """One spec's report from its bisected brackets: residuals, 50-digit
     refinement where the mode asks for it, and the checks. Each bracket is
     one root: a pair of roots closer than the bisection tolerance shows as
-    an even count, not as one root."""
+    an even count, not as one root.
+
+    A residual is |second_derivative(spec, p_star, precision)|. "auto"
+    escalates where it exceeds _ESCALATION_FACTOR of the local scale, and
+    decides that from the double forms (calculus._double_second_derivative)
+    where they keep ten digits, or where both cancel and their bound on
+    |L''| lies _DEFER_MARGIN below that threshold. Where no decision reads
+    a residual that needs 50 digits, as there, in "extended" and after an
+    escalation, it is taken when first read (counts["deferred"]); else now
+    (counts["eager"]).
+    """
+    counts = Counter() if counts is None else counts
     precision_flag = precision == "extended"
     roots: list[InflectionRoot] = []
     for k, br in enumerate(brackets):
@@ -917,18 +1058,28 @@ def _report(
             better = _bisect_mp(spec, br.lo, br.hi)
             if better is not None:
                 p_star = better
-        residual = abs(second_derivative(spec, p_star, precision=precision))
-        if precision == "auto" and _above_scale(residual, br.local_log_scale):
-            better = _bisect_mp(spec, br.lo, br.hi)
-            if better is not None:
-                p_star = better
-                residual = abs(second_derivative(spec, p_star, precision="extended"))
-                precision_flag = True
+            residual = functools.partial(_residual, spec, p_star, precision)
+        else:
+            value, bound = _double_second_derivative(spec, p_star)
+            if bound is None or precision == "standard":
+                residual = abs(value)
+            elif bound < math.inf and not _above_scale(_DEFER_MARGIN * bound, br.local_log_scale):
+                residual = functools.partial(_residual, spec, p_star, precision)
             else:
-                warnings.append(
-                    f"residual {residual:.3g} near p={p_star:.6g} stayed above the local scale "
-                    "and the 50-digit endpoint signs do not bracket a crossing"
-                )
+                residual = _residual(spec, p_star, precision)
+                counts["eager"] += 1
+            if precision == "auto" and not callable(residual) and _above_scale(residual, br.local_log_scale):
+                better = _bisect_mp(spec, br.lo, br.hi)
+                if better is not None:
+                    p_star = better
+                    residual = functools.partial(_residual, spec, p_star, "extended")
+                    precision_flag = True
+                else:
+                    warnings.append(
+                        f"residual {residual:.3g} near p={p_star:.6g} stayed above the local scale "
+                        "and the 50-digit endpoint signs do not bracket a crossing"
+                    )
+        counts["deferred"] += callable(residual)
         roots.append(
             InflectionRoot(p_star=p_star, bracket=(br.lo, br.hi), residual=residual, direction=_direction(br.sign_lo))
         )
@@ -983,7 +1134,8 @@ def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
     brackets = [br for found, _ in collected for br in found]
     owner = np.array([t for t, (found, _) in enumerate(collected) for _ in found], dtype=np.intp)
     calls, points = batch.calls, batch.points
-    mids = _bisect_all(batch, brackets, _REFINE_TOLERANCE, owner)
+    counts: Counter = Counter()
+    mids = _bisect_all(batch, brackets, _REFINE_TOLERANCE, owner, counts)
     for window, (_, (live, grid_points, uncleared)) in zip(windows, collected):
         lo, hi = window.grid.span
         _log.debug(
@@ -996,19 +1148,13 @@ def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
             grid_points,
             uncleared,
         )
-    _log.debug(
-        "batch of %d scans: bisection: %d kernel calls, %d points; in all: %d kernel calls, %d points",
-        len(scanned),
-        batch.calls - calls,
-        batch.points - points,
-        batch.calls,
-        batch.points,
-    )
     start = 0
     for t, k in enumerate(scanned):
         window = windows[t]
         found = collected[t][0]
-        report = _report(specs[k], found, mids[start : start + len(found)], window.grid.span, precision, warnings[t])
+        report = _report(
+            specs[k], found, mids[start : start + len(found)], window.grid.span, precision, warnings[t], counts
+        )
         start += len(found)
         if window.capped:
             outcomes[k] = RangeExhaustedError(
@@ -1016,6 +1162,21 @@ def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
             )
         else:
             outcomes[k] = report
+    _log.debug(
+        "batch of %d scans: bisection: %d kernel calls, %d points, %d tree rounds, %d predicted rounds, "
+        "%d walks missed their prediction; residuals: %d deferred, %d taken at 50 digits; "
+        "in all: %d kernel calls, %d points",
+        len(scanned),
+        batch.calls - calls,
+        batch.points - points,
+        counts["tree rounds"],
+        counts["predicted rounds"],
+        counts["missed"],
+        counts["deferred"],
+        counts["eager"],
+        batch.calls,
+        batch.points,
+    )
     return outcomes
 
 
@@ -1041,6 +1202,12 @@ def find_inflections(spec: MeanSpec, precision: str = "auto") -> InflectionRepor
     (the default) escalates only brackets whose refined residual stays
     above 1e-3 of the local curvature scale. Raises UsageError for any
     other value.
+
+    Each bracket is bisected to 1e-9 in about two kernel calls (see
+    _bisect_all): a call with the next six levels of midpoints, then one
+    along the path toward the root that the first call's values predict.
+    A residual that would need 50 digits and decides nothing is taken when
+    it is first read, with the same value.
 
     The scan window is certified per spec (see _windows), and the report's
     scan_range is that window. Raises NoInflectionError for constant specs

@@ -8,6 +8,7 @@ import threading
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import mpf_log
 
 from lehmer import (
     DomainError,
@@ -716,6 +717,25 @@ class TestCachedPowers:
                     assert repr(_mp_terms(spec, p)) == repr(self._direct(spec, p)), (text, dps)
                     assert repr(_mp_terms(spec, p - 1)) == repr(self._direct(spec, p - 1)), (text, dps)
 
+    def test_shared_logs_equal_mp_power_at_the_sign_precisions(self, rng):
+        # 50 digits, and the retry precision of _mp_sign for that spec and p
+        for _ in range(6):
+            n = int(rng.integers(2, 6))
+            spec = make_spec(np.exp(rng.uniform(-30.0, 30.0, n)).tolist(), np.exp(rng.uniform(-2.0, 2.0, n)).tolist())
+            big = max(abs(v) for v in spec.log_values)
+            ps = rng.uniform(-60.0, 60.0, 4).tolist()
+            ps += rng.integers(-40, 40, 2).astype(float).tolist()
+            ps += (rng.integers(-80, 80, 2) + 0.5).tolist()
+            ps += (np.array([-1.0, 1.0]) * rng.uniform(701.0, 3000.0, 2) / big).tolist()  # |p log x| > 700
+            l, lw = spec.log_values, spec.log_weights
+            for p in ps:
+                spread = max(abs(p), abs(p - 1.0)) * (max(l) - min(l)) + (max(lw) - min(lw))
+                for dps in (_EXTENDED_DPS, _EXTENDED_DPS + math.ceil(spread / math.log(10.0))):
+                    with mp.workdps(dps):
+                        q = mp.mpf(p)
+                        for t in (q, q - 1):
+                            assert repr(_mp_terms(spec, t)) == repr(self._direct(spec, t)), (spec.values, p, dps)
+
     def test_keyed_on_precision(self):
         spec = make_spec([0.3, 7.0, 1e-300])
         held = {}
@@ -723,10 +743,13 @@ class TestCachedPowers:
             with mp.workdps(dps):
                 const = held.setdefault(dps, _mp_constants(spec))
                 assert _mp_constants(spec) is const
-                _, _, cached_logs, cached_squares = const
+                _, _, cached_logs, cached_squares, power_logs = const
                 logs = [mp.log(mp.mpf(v)) for v in spec.values]
                 assert repr(cached_logs) == repr(tuple(logs)), dps
                 assert repr(cached_squares) == repr(tuple(li**2 for li in logs)), dps
+                # the logs mpmath's power takes: 10 more bits, raw
+                prec, rnd = mp.mp._prec_rounding
+                assert power_logs == tuple(mpf_log(mp.mpf(v)._mpf_, prec + 10, rnd) for v in spec.values), dps
         assert held[40][2][0] != held[60][2][0]
 
     def test_evicted_spec_gives_the_same_results(self, rng, random_spec):

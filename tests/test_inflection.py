@@ -1,7 +1,9 @@
 """Inflection location: scan, bisection, bounds, closed-form cross-checks."""
 
+import logging
 import math
 import time
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -20,18 +22,24 @@ from lehmer import (
     lehmer,
     make_spec,
     merge_equal_values,
+    search_multi_inflection,
+    second_derivative,
     weighted_n2_inflection,
 )
-from lehmer.calculus import _mp_curvature
-from lehmer import inflection
+from lehmer.calculus import _double_second_derivative, _mp_curvature, _second_derivative_mp
+from lehmer import calculus, inflection
 from lehmer.inflection import (
+    _DEFER_MARGIN,
+    _ESCALATION_FACTOR,
     _MAX_BISECT_ITER,
+    _REFINE_TOLERANCE,
     _SECTION_DEPTH,
     _Batch,
     _Bracket,
     _ExpSum,
     _Grid,
     _Kernel,
+    _above_scale,
     _bisect_all,
     _collect_brackets,
     _live_cells,
@@ -755,6 +763,234 @@ class TestSectionBisection:
         expected, step_calls = _stepwise_bisection(kernel, brackets, 1e-300)
         assert step_calls == _MAX_BISECT_ITER
         assert np.array_equal(got, expected)
+
+
+def _plain_bisection(spec, br, tolerance):
+    """Plain bisection of one bracket, one one-spec kernel call per midpoint: the reference."""
+    if br.exact_p is not None:
+        return br.exact_p
+    kernel = _Kernel([spec])
+    lo, hi = br.lo, br.hi
+    for _ in range(_MAX_BISECT_ITER):
+        if hi - lo <= tolerance:
+            break
+        m = 0.5 * (lo + hi)
+        if m <= lo or m >= hi:
+            return m
+        sign = int(kernel(np.array([m]))[0][0])
+        if sign == 0:
+            return m
+        if sign == br.sign_lo:
+            lo = m
+        else:
+            hi = m
+    return 0.5 * (lo + hi)
+
+
+class TestPredictedBisection:
+    """A tree round, then the path toward the interpolated root: the
+    midpoints of plain bisection, in about two kernel calls."""
+
+    @staticmethod
+    def _specs(rng):
+        cluster = Cluster()
+        specs = [make_spec(LogUniform().draw(rng, 3).tolist()) for _ in range(100)]
+        specs += [make_spec(cluster.draw(rng, int(rng.integers(4, 7))).tolist()) for _ in range(50)]
+        specs += [make_spec(THREE_ROOT_VALUES), make_spec([1e-50, 1.0, 1e50]), make_spec([0.5, 2.5], [1.0, 3.0])]
+        return specs
+
+    @staticmethod
+    def _brackets(specs):
+        """The scan's brackets of specs, collected in one batch, and their owners."""
+        batch = _Batch(specs)
+        collected = _collect_brackets(batch, [window.grid for window in _windows(batch)], [[] for _ in specs])
+        brackets = [br for found, _ in collected for br in found]
+        owner = np.array([t for t, (found, _) in enumerate(collected) for _ in found], dtype=np.intp)
+        return batch, brackets, owner
+
+    # the unit pair's kernel is exactly zero at p = 1: a root the grid hit,
+    # and one the first midpoint of [0.5, 1.5] hits
+    ZERO_PAIR = [0.5, 2.5]
+    ZERO_BRACKETS = [_Bracket(0.875, 1.125, 1, 0.0, exact_p=1.0), _Bracket(0.5, 1.5, 1, 0.0), _Bracket(0.25, 0.375, 1, 0.0)]
+
+    def test_equals_plain_bisection_singly_and_in_batches(self, rng):
+        specs = self._specs(rng)
+        specs.append(make_spec(self.ZERO_PAIR))
+        batch, brackets, owner = self._brackets(specs)
+        zero = len(specs) - 1
+        brackets += self.ZERO_BRACKETS
+        owner = np.concatenate((owner, np.full(len(self.ZERO_BRACKETS), zero, dtype=np.intp)))
+        expected = np.array([_plain_bisection(specs[t], br, 1e-9) for t, br in zip(owner.tolist(), brackets)])
+        assert len(set(owner.tolist())) == len(specs)  # every spec has a bracket
+        assert np.array_equal(_bisect_all(batch, brackets, 1e-9, owner), expected)
+        for start in range(0, len(specs), 7):
+            part = specs[start : start + 7]
+            part_batch, part_brackets, part_owner = self._brackets(part)
+            got = _bisect_all(part_batch, part_brackets, 1e-9, part_owner)
+            assert np.array_equal(got, expected[(owner >= start) & (owner < start + 7)][: len(part_brackets)])
+        singles = [_bisect_all(_Kernel([specs[t]]), [br], 1e-9)[0] for t, br in zip(owner.tolist(), brackets)]
+        assert np.array_equal(np.array(singles), expected)
+
+    def test_a_wrong_estimate_takes_the_fallback(self, rng, monkeypatch):
+        specs = self._specs(rng)[::5]
+        batch, brackets, owner = self._brackets(specs)
+        counts = Counter()
+        expected = _bisect_all(batch, brackets, 1e-9, owner, counts)
+        assert counts["tree rounds"] == counts["predicted rounds"] == 1
+        estimate = inflection._estimate
+
+        def wrong(lo, hi, nodes):
+            # inside the bracket, but on the far side of its midpoint from the estimate
+            right = estimate(lo, hi, nodes) < 0.5 * (lo + hi)
+            return lo + (0.999 if right else 0.001) * (hi - lo)
+
+        monkeypatch.setattr(inflection, "_estimate", wrong)
+        batch, brackets, owner = self._brackets(specs)
+        counts = Counter()
+        assert np.array_equal(_bisect_all(batch, brackets, 1e-9, owner, counts), expected)
+        assert counts["missed"] >= len(brackets)  # every walk, in every predicted round
+        assert counts["tree rounds"] >= 2 and counts["predicted rounds"] >= 2
+
+    def test_the_hedge_covers_a_miss_one_level_above_the_last(self, monkeypatch):
+        # estimate a point of the half that plain bisection leaves at its
+        # second-to-last step: the walk takes the hedge there and still ends
+        # in the second call
+        spec = make_spec([1.0, 2.0, 3.0])
+        batch, [br], owner = self._brackets([spec])
+        kernel, lo, hi, visited = _Kernel([spec]), br.lo, br.hi, []
+        while hi - lo > _REFINE_TOLERANCE:
+            visited.append((lo, hi))
+            m = 0.5 * (lo + hi)
+            if int(kernel(np.array([m]))[0][0]) == br.sign_lo:
+                lo = m
+            else:
+                hi = m
+        (a, b), (c, d) = visited[-2:]
+        wrong = 0.5 * (a + c) if c > a else 0.5 * (d + b)  # the midpoint of the half not taken
+        monkeypatch.setattr(inflection, "_estimate", lambda lo, hi, nodes: wrong)
+        counts = Counter()
+        assert _bisect_all(batch, [br], _REFINE_TOLERANCE, owner, counts).tolist() == [0.5 * (lo + hi)]
+        assert batch.calls == 3 and counts["missed"] == 0  # the grid, the tree and the path
+
+    def test_two_kernel_calls_for_one_root(self):
+        batch, brackets, owner = self._brackets([make_spec([1.0, 2.0, 3.0])])
+        before = batch.calls
+        _bisect_all(batch, brackets, _REFINE_TOLERANCE, owner)
+        assert batch.calls - before == 2
+
+    def test_debug_line_says_how_the_refinement_went(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="lehmer.inflection")
+        for values, roots in (([1.0, 2.0, 3.0], 1), (THREE_ROOT_VALUES, 3)):
+            caplog.clear()
+            find_inflections(make_spec(values))
+            [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("batch of")]
+            assert (
+                "bisection: 2 kernel calls" in line
+                and "1 tree rounds, 1 predicted rounds, 0 walks missed their prediction" in line
+                and f"residuals: {roots} deferred, 0 taken at 50 digits" in line
+            ), line
+
+
+def _deferred(root):
+    return callable(root.__dict__["_residual"])
+
+
+class TestDeferredResidual:
+    """A residual that only reports read is taken when first read, and is
+    the value second_derivative gives."""
+
+    @staticmethod
+    def _specs(rng):
+        cluster = Cluster()
+        specs = [make_spec(LogUniform().draw(rng, 3).tolist()) for _ in range(40)]
+        specs += [make_spec(cluster.draw(rng, int(rng.integers(4, 7))).tolist()) for _ in range(20)]
+        specs += [make_spec(LogUniform().draw(rng, 4).tolist(), rng.uniform(0.5, 2.0, 4).tolist()) for _ in range(10)]
+        specs += [make_spec(THREE_ROOT_VALUES), make_spec([1.0, 2.0, 3.0]), make_spec([0.5, 2.5], [1.0, 3.0])]
+        return specs
+
+    @pytest.mark.parametrize("precision", ["auto", "standard", "extended"])
+    def test_read_value_is_the_eager_one(self, rng, precision):
+        specs = self._specs(rng)
+        reports = _scan_many(specs, precision)
+        deferred = 0
+        for spec, report in zip(specs, reports):
+            for root in report.roots:
+                deferred += _deferred(root)
+        # read in reverse, after every scan: a value must not depend on when it is taken
+        for spec, report in reversed(list(zip(specs, reports))):
+            if precision == "auto" and report.precision_used == "extended":
+                continue  # an escalated root's residual is the "extended" one
+            for root in report.roots:
+                assert root.residual == abs(second_derivative(spec, root.p_star, precision)), (spec.values, root)
+                assert not _deferred(root)
+        if precision == "standard":
+            assert deferred == 0
+        else:
+            assert deferred > len(specs) // 2
+
+    def test_equality_hash_and_repr_read_the_value(self):
+        spec = make_spec([1.0, 2.0, 3.0])
+        first, second = find_inflections(spec), find_inflections(spec)
+        assert _deferred(first.roots[0]) and _deferred(second.roots[0])
+        assert "residual=" + repr(abs(second_derivative(spec, first.roots[0].p_star))) in repr(first)
+        assert first == second and hash(first) == hash(second)
+        assert not _deferred(second.roots[0])
+
+    def test_search_takes_no_fifty_digit_residual_until_one_is_read(self, monkeypatch):
+        taken = []
+        evaluate = calculus._second_derivative_mp
+
+        def counted(*args, **kwargs):
+            taken.append(args[1])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "_second_derivative_mp", counted)
+        hits = search_multi_inflection(SearchConfig(n=3, trials=200, seed=11, values=LogUniform(), min_roots=1))
+        assert len(hits) == 200 and not taken
+        residuals = [root.residual for hit in hits for root in hit.report.roots]
+        assert len(residuals) == 200 and len(taken) > 20
+
+    def test_a_bound_near_the_threshold_takes_fifty_digits_now(self):
+        # {1, 2, 3} at its root: both double forms cancel, and their bound is
+        # 4.8e-11; move the bracket's local scale across the deferral limit
+        spec = make_spec([1.0, 2.0, 3.0])
+        batch, [br], owner = TestPredictedBisection._brackets([spec])
+        mids = _bisect_all(batch, [br], _REFINE_TOLERANCE, owner)
+        value, bound = _double_second_derivative(spec, float(mids[0]))
+        assert 0.0 < bound < math.inf
+        limit = math.log(_DEFER_MARGIN * bound / _ESCALATION_FACTOR)
+        # at -200 the 50-digit residual, 2.0e-11, is above the threshold: the
+        # root escalates, and its "extended" residual is deferred
+        for scale, kinds, precision_used in (
+            (limit + 0.01, {"deferred": 1}, "standard"),
+            (limit - 0.01, {"eager": 1}, "standard"),
+            (-200.0, {"eager": 1, "deferred": 1}, "extended"),
+        ):
+            counts = Counter()
+            bracket = _Bracket(br.lo, br.hi, br.sign_lo, scale)
+            report = _report(spec, [bracket], mids, (0.0, 0.0), "auto", [], counts)
+            assert counts == Counter(kinds), (scale, counts)
+            assert report.precision_used == precision_used, scale
+            assert _deferred(report.roots[0]) == ("deferred" in kinds)
+
+    def test_no_deferred_root_would_have_escalated(self, rng):
+        specs = self._specs(rng)
+        specs += [make_spec((1.0 + rng.uniform(-1e-6, 1e-6, 3)).tolist()) for _ in range(10)]
+        specs += [make_spec(np.exp(rng.uniform(-200.0, 200.0, 3)).tolist()) for _ in range(10)]
+        checked = 0
+        for spec in specs:
+            batch, brackets, owner = TestPredictedBisection._brackets([spec])
+            mids = _bisect_all(batch, brackets, _REFINE_TOLERANCE, owner)
+            report = _report(spec, brackets, mids, (0.0, 0.0), "auto", [])
+            scale = {(br.lo, br.hi): br.local_log_scale for br in brackets}
+            for root in report.roots:
+                if _deferred(root):
+                    eager = _second_derivative_mp(spec, root.p_star)
+                    eager = 0.0 if eager is None else abs(eager)
+                    assert not _above_scale(eager, scale[root.bracket]), (spec.values, root.p_star)
+                    assert eager == root.residual
+                    checked += 1
+        assert checked > len(specs) // 2
 
 
 def _outcome(outcome):

@@ -53,3 +53,21 @@ def test_traced_sites_resolve():
     assert pairs
     missing = [f"{module}.{attr}" for module, attr in pairs if not hasattr(importlib.import_module(module), attr)]
     assert not missing, f"perfbench/spans.py traces {', '.join(missing)}, which lehmer does not define"
+
+
+def test_only_calculus_imports_mpmath():
+    # every 50-digit evaluation goes through calculus: its cached constants,
+    # the shared logs of its powers and its noise floor
+    importers = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "mpmath" or name.startswith("mpmath.") for name in names):
+                importers.append(path.name)
+    assert importers and set(importers) == {"calculus.py"}, sorted(set(importers))
