@@ -24,13 +24,15 @@ taken from the ratios log(x_i/x_k) so that values a few ulps apart keep
 their digits (see _pairwise_parts). That sum cancels near a root
 of L''. Only where it too loses more than ten digits, measured against the
 rounding each of its terms can carry, does "auto" escalate to 50-digit
-arithmetic ("standard" keeps the double bracket there); a 50-digit bracket
-that cancels to noise in turn gives the pairwise value where that keeps ten
-digits, and 0.0 only where it does not. The double steps, and a bound on
-|L''| where both forms cancel, are _double_second_derivative, which the scan
-also reads to decide whether a residual needs its 50 digits at once. The
-p-independent constants of the pairwise terms are kept per spec
-(MeanSpec.pair_table) and shared with L'.
+arithmetic ("standard" keeps the double bracket there). Where every term
+of the pairwise form is exactly 0, which happens only for a unit-weight
+pair at p = 1, both give L'' = 0.0 at once, as the closed form does. A
+50-digit bracket that cancels to noise in turn gives the pairwise value
+where that keeps ten digits, and 0.0 only where it does not. The double
+steps, and a bound on |L''| where both forms cancel, are
+_double_second_derivative, which the scan also reads to decide whether a
+residual needs its 50 digits at once. The p-independent constants of the
+pairwise terms are kept per spec (MeanSpec.pair_table) and shared with L'.
 
 Each exponent gets one table of powers (core._powers: the shifted terms
 w_i x_i^p, their largest and their exact sum). An evaluation point
@@ -160,7 +162,8 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
     precision:
         "standard"  double precision only: the double bracket while it keeps
                     ten decimal digits, else the pairwise double form while
-                    that keeps ten, else the double bracket all the same
+                    that keeps ten (0.0 where its every term is exactly 0),
+                    else the double bracket all the same
         "extended"  the bracket at 50 significant digits; where even those
                     cancel to noise, the pairwise double form of the module
                     docstring if it keeps ten digits, else 0.0
@@ -196,8 +199,9 @@ def _fifty_digit_second_derivative(spec: MeanSpec, p: float) -> float:
 
 def _double_second_derivative(spec: MeanSpec, p: float) -> tuple[float, float | None]:
     """(L''(p) as "standard" gives it, None) where the double bracket or the
-    pairwise form keeps ten decimal digits; else (L * bracket, a bound on
-    |L''(p)|), where "auto" goes to 50 digits.
+    pairwise form keeps ten decimal digits, and (0.0, None) where every
+    pairwise term is exactly 0; else (L * bracket, a bound on |L''(p)|),
+    where "auto" goes to 50 digits.
 
     The bound is the pairwise form's |sum| plus 1e-10 of its size, in the
     form's own scale: far above the rounding its terms can carry. It is inf
@@ -218,9 +222,11 @@ def _double_second_derivative(spec: MeanSpec, p: float) -> tuple[float, float | 
         s, size, t_max, log_den = parts
         if abs(s) > _CANCELLATION_LIMIT * size:
             return _pairwise_value(s, t_max, log_den), None
+        if size == 0.0:  # every term exactly 0: a unit-weight pair at p = 1
+            return 0.0, None
         try:
             return mean * bracket, exp(t_max + log(abs(s) + _CANCELLATION_LIMIT * size) - log_den)
-        except (OverflowError, ValueError):  # beyond the double range, or every term exactly 0
+        except (OverflowError, ValueError):  # beyond the double range, or a size that underflows
             return mean * bracket, math.inf
     return mean * bracket, None
 

@@ -30,7 +30,9 @@ makes one kernel (or exclusion) call per shape of spec (n and the pairs the
 kernel keeps), with every spec's constants gathered per point or cell. The
 residuals, the 50-digit refinement and the reports are per spec. A point's
 result does not depend on what else is in its call, so a spec gets the same
-report in any batch.
+report in any batch. Between the calls, a spec's cells, grid points, zero
+runs, sign changes, split cells and brackets, and each bisection round's
+results, are plain lists and dicts; only runs of untested cells stay arrays.
 
 A cell is cleared by the exponential-sum form of L'' (see _ExpSum): either
 one term outweighs all the others on the whole cell, or the value at its
@@ -56,6 +58,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -208,12 +211,13 @@ class _Kernel:
     kernel has evaluated.
     """
 
-    def __init__(self, specs: Sequence[MeanSpec]):
+    def __init__(self, specs: Sequence[MeanSpec], kept: Sequence[tuple[int, int]] | None = None):
         x = np.array([s.values for s in specs], dtype=float).T
         l = np.array([s.log_values for s in specs], dtype=float).T
         lw = np.array([s.log_weights for s in specs], dtype=float).T
         n = x.shape[0]
-        self.ii, self.jj = (np.array(idx, dtype=np.intp) for idx in zip(*_shape(specs[0])[2]))
+        kept = _shape(specs[0])[2] if kept is None else kept  # the pairs of _shape
+        self.ii, self.jj = (np.array(idx, dtype=np.intp) for idx in zip(*kept))
         prod = (x[self.ii] - x[self.jj]) * (l[self.ii] - l[self.jj])
         g = lw[self.ii] + lw[self.jj] + np.log(prod)
         sl = l[self.ii] + l[self.jj]
@@ -342,10 +346,9 @@ class _ExpSum:
         m_c, m_r, expo, a, e_a = np.array([_exp_terms(spec) for spec in specs], dtype=float).transpose(1, 2, 0)
         absm = np.abs(m_c)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_c = np.log(absm)
-            log_r = np.log(m_r)
-            log_hi = np.log((absm + m_r) * (1.0 + _U))
-            log_lo = np.log(np.maximum(absm - m_r, 0.0) * (1.0 - _U))
+            log_c, log_r, log_hi, log_lo = np.log(
+                np.stack((absm, m_r, (absm + m_r) * (1.0 + _U), np.maximum(absm - m_r, 0.0) * (1.0 - _U)))
+            )
         self.n_terms = m_c.shape[0]
         # logs of the mantissa, of its radius and of the bounds on |c_t|, the
         # last three already widened by the error of log itself
@@ -425,15 +428,12 @@ class _ExpSum:
 # scan machinery
 
 
-class _Bracket:
-    __slots__ = ("lo", "hi", "sign_lo", "local_log_scale", "exact_p")
-
-    def __init__(self, lo: float, hi: float, sign_lo: int, local_log_scale: float, exact_p: float | None = None):
-        self.lo = lo
-        self.hi = hi
-        self.sign_lo = sign_lo
-        self.local_log_scale = local_log_scale
-        self.exact_p = exact_p  # set when the grid hit the root exactly
+class _Bracket(NamedTuple):
+    lo: float
+    hi: float
+    sign_lo: int
+    local_log_scale: float
+    exact_p: float | None = None  # set when the grid hit the root exactly
 
 
 class _Grid:
@@ -444,9 +444,6 @@ class _Grid:
         self.k_lo = k_lo
         self.per_unit = per_unit
         self.size = k_hi - k_lo + 1
-
-    def points(self, idx: np.ndarray) -> np.ndarray:
-        return (idx + self.k_lo).astype(float) / self.per_unit
 
     def point(self, k: int) -> float:
         return float(k + self.k_lo) / self.per_unit
@@ -461,21 +458,21 @@ class _Batch:
 
     Points and cells carry the index of their spec in the batch (owner); a
     call makes one kernel or exclusion call per shape among its owners, and
-    none for an empty call.
+    none for an empty call. shapes, where given, are the specs' _shape.
     """
 
-    def __init__(self, specs: Sequence[MeanSpec]):
+    def __init__(self, specs: Sequence[MeanSpec], shapes: Sequence[tuple] | None = None):
         groups: dict[tuple, list[int]] = {}
-        for k, spec in enumerate(specs):
-            groups.setdefault(_shape(spec), []).append(k)
+        for k, shape in enumerate(map(_shape, specs) if shapes is None else shapes):
+            groups.setdefault(shape, []).append(k)
         self.specs = specs
         self.group = np.empty(len(specs), dtype=np.intp)
         self.row = np.empty(len(specs), dtype=np.intp)
         self.kernels, self.expsums = [], []
-        for g, members in enumerate(groups.values()):
+        for g, (shape, members) in enumerate(groups.items()):
             self.group[members] = g
             self.row[members] = np.arange(len(members))
-            self.kernels.append(_Kernel([specs[k] for k in members]))
+            self.kernels.append(_Kernel([specs[k] for k in members], shape[2]))
             self.expsums.append(_ExpSum([specs[k] for k in members]))
 
     @property
@@ -486,144 +483,210 @@ class _Batch:
     def points(self) -> int:
         return sum(kernel.points for kernel in self.kernels)
 
-    def _split(self, owner: np.ndarray):
-        """(group, positions, rows) for each shape among owner; rows is None
-        where the group holds one spec."""
+    def _per_shape(self, calls: list, arrays: tuple[np.ndarray, ...], owner: Sequence[int], dtypes: tuple):
+        """calls[g](*arrays, rows) for the entries of each shape g among
+        owner, its results put back in place; rows is None where the group
+        holds one spec."""
+        if len(calls) == 1 and arrays[0].shape[0]:
+            return calls[0](*arrays, None if self.kernels[0].size == 1 else self.row[owner])
+        owner = np.asarray(owner, dtype=np.intp)
         group = self.group[owner]
+        outs = tuple(np.zeros(arrays[0].shape[0], dtype=dtype) for dtype in dtypes)
         for g in np.unique(group).tolist():
             where = np.nonzero(group == g)[0]
-            yield g, where, None if self.kernels[g].size == 1 else self.row[owner[where]]
+            rows = None if self.kernels[g].size == 1 else self.row[owner[where]]
+            for out, got in zip(outs, calls[g](*(a[where] for a in arrays), rows)):
+                out[where] = got
+        return outs
 
-    def __call__(self, ps: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if len(self.kernels) == 1 and ps.shape[0]:
-            return self.kernels[0](ps, None if self.kernels[0].size == 1 else self.row[owner])
-        signs = np.zeros(ps.shape[0], dtype=np.int8)
-        logmag = np.zeros(ps.shape[0])
-        if ps.shape[0]:
-            for g, where, rows in self._split(owner):
-                signs[where], logmag[where] = self.kernels[g](ps[where], rows)
-        return signs, logmag
+    def __call__(self, ps: np.ndarray, owner: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        return self._per_shape(self.kernels, (ps,), owner, (np.int8, float))
 
-    def test(self, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if len(self.expsums) == 1 and lo.shape[0]:
-            return self.expsums[0].test(lo, hi, None if self.kernels[0].size == 1 else self.row[owner])
-        cleared = np.zeros(lo.shape[0], dtype=bool)
-        sign = np.zeros(lo.shape[0], dtype=np.int8)
-        if lo.shape[0]:
-            for g, where, rows in self._split(owner):
-                cleared[where], sign[where] = self.expsums[g].test(lo[where], hi[where], rows)
-        return cleared, sign
+    def test(self, lo: np.ndarray, hi: np.ndarray, owner: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        return self._per_shape([expsum.test for expsum in self.expsums], (lo, hi), owner, (bool, np.int8))
 
-
-def _joined(call, parts: dict[int, tuple[np.ndarray, ...]]) -> dict[int, tuple[np.ndarray, ...]]:
-    """call(*arrays, owner) once on the per-spec arrays of parts, joined;
-    its results split back per spec."""
-    if len(parts) == 1:
-        [(k, arrays)] = parts.items()
-        owner = np.empty(arrays[0].shape[0], dtype=np.intp)
-        owner.fill(k)
-        return {k: call(*arrays, owner)}
-    keys = list(parts)
-    sizes = [parts[k][0].shape[0] for k in keys]
-    owner = np.repeat(np.array(keys, dtype=np.intp), sizes)
-    joined = [np.concatenate([parts[k][f] for k in keys]) for f in range(len(parts[keys[0]]))]
-    outs = call(*joined, owner)
-    ends = np.cumsum(sizes).tolist()
-    return {k: tuple(out[end - size : end] for out in outs) for k, size, end in zip(keys, sizes, ends)}
+    def lists(self, call, parts: dict[int, tuple[list[float], ...]]) -> dict[int, tuple[list, ...]]:
+        """call (self or self.test) once on the lists of every spec in parts,
+        joined into arrays; its results as lists, split back per spec."""
+        owner = np.repeat(list(parts), [len(lists[0]) for lists in parts.values()])
+        joined: list[list[float]] = [[] for _ in next(iter(parts.values()))]
+        for lists in parts.values():
+            for whole, part in zip(joined, lists):
+                whole += part
+        outs = [iter(out.tolist()) for out in call(*(np.array(whole, dtype=float) for whole in joined), owner)]
+        return {k: tuple(list(islice(out, len(lists[0]))) for out in outs) for k, lists in parts.items()}
 
 
-def _live_cells(grids: Sequence[_Grid], batch: _Batch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each spec of the batch, the indices k of its grid cells [k, k+1]
-    that exclusion cannot clear.
+def _live_cells(grids: Sequence[_Grid], batch: _Batch) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """For each spec of the batch, the grid cells [k, k+1] that exclusion
+    cannot clear.
 
     About _COARSE_CELLS cells of a power-of-two number of grid cells are
     tested first; each survivor is cut into _BRANCH equal parts and tested
     again, until single grid cells remain. A survivor whose midpoint value
     is lost in rounding is not cut further: splitting cannot clear it, so
     all its grid cells stay live untested. Each level is one exclusion call
-    for the specs still descending. Returns, per spec, the sorted live cells
-    and, for each, whether it passed through the tests down to its own
-    level.
+    for the specs still descending. Returns, per spec, the sorted cells
+    tested down to their own level, and the sorted runs [a, b) of untested
+    cells.
     """
     n_cells = [grid.size - 1 for grid in grids]
     width = [1 << max(0, ((n - 1) // _COARSE_CELLS).bit_length()) for n in n_cells]
-    lo = [np.arange(0, n, w) for n, w in zip(n_cells, width)]
-    blurred: list[list[np.ndarray]] = [[] for _ in grids]
-    tested = [np.empty(0, dtype=np.int64) for _ in grids]
+    lo: list[Sequence[int]] = [range(0, n, w) for n, w in zip(n_cells, width)]
+    tested: list[list[int]] = [[] for _ in grids]
+    blurred: list[list[tuple[int, int]]] = [[] for _ in grids]
     active = list(range(len(grids)))
     while active:
-        cells = {k: (grids[k].points(lo[k]), grids[k].points(np.minimum(lo[k] + width[k], n_cells[k]))) for k in active}
-        results = _joined(batch.test, cells)
+        cells = {}
+        for k in active:
+            k_lo, per_unit, n, w = grids[k].k_lo, grids[k].per_unit, n_cells[k], width[k]
+            cells[k] = ([(c + k_lo) / per_unit for c in lo[k]], [(c + w + k_lo) / per_unit for c in lo[k]])
+            if lo[k] and lo[k][-1] + w > n:  # only the last cell can reach past the grid
+                cells[k][1][-1] = (n + k_lo) / per_unit
+        results = batch.lists(batch.test, cells)
         descending = []
         for k in active:
             cleared, sign = results[k]
-            if width[k] == 1:
-                tested[k] = lo[k][~cleared]
+            n, w = n_cells[k], width[k]
+            if w == 1:
+                tested[k] = [c for c, gone in zip(lo[k], cleared) if not gone]
                 continue
-            lost = lo[k][~cleared & (sign == 0)]
-            blurred[k].append((lost[:, None] + np.arange(width[k])).ravel())
-            step = max(width[k] // _BRANCH, 1)
-            below = (lo[k][~cleared & (sign != 0)][:, None] + np.arange(0, width[k], step)).ravel()
-            lo[k] = below[below < n_cells[k]]
-            width[k] = step
-            if lo[k].size:
+            step = max(w // _BRANCH, 1)
+            below: list[int] = []
+            for c, gone, s in zip(lo[k], cleared, sign):
+                if gone:
+                    continue
+                if s == 0:
+                    blurred[k].append((c, min(c + w, n)))
+                else:
+                    below += range(c, min(c + w, n), step)
+            lo[k], width[k] = below, step
+            if below:
                 descending.append(k)
         active = descending
-    out = []
-    for k in range(len(grids)):
-        untested = np.concatenate(blurred[k]) if blurred[k] else np.empty(0, dtype=np.int64)
-        untested = untested[untested < n_cells[k]]
-        cells = np.concatenate((tested[k], untested))
-        order = np.argsort(cells)
-        out.append((cells[order], (np.arange(cells.shape[0]) < tested[k].shape[0])[order]))
-    return out
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+    return [(cells, sorted(runs)) for cells, runs in zip(tested, blurred)]
 
 
 class _Split:
-    """One spec's equal-sign live cells, split at dyadic midpoints."""
+    """One spec's equal-sign tested live cells, split at dyadic midpoints.
 
-    def __init__(self, los, his, sgn, base, uncleared):
-        self.los, self.his, self.sgn, self.base = los, his, sgn, base
-        self.uncleared = uncleared
-        self.found: list[tuple[float, float, int, int]] = []  # (lo, hi, sign_lo, grid cell)
+    cells holds (lo, hi, sign, grid cell) of each part still to split, found
+    the brackets (lo, hi, sign_lo, grid cell) of the sign changes found.
+    """
+
+    def __init__(self, cells: list[tuple[float, float, int, int]], uncleared: int):
+        self.cells, self.uncleared = cells, uncleared
+        self.found: list[tuple[float, float, int, int]] = []
         self.warnings: list[str] = []
 
-    def step(self, mids: np.ndarray, sm: np.ndarray) -> None:
-        """Bracket the halves whose midpoint sign differs, keep the others."""
-        los, his, sgn, base = self.los, self.his, self.sgn, self.base
-        opp = (sm != 0) & (sm != sgn)
-        for idx in np.nonzero(opp)[0]:
-            self.found.append((float(los[idx]), float(mids[idx]), int(sgn[idx]), int(base[idx])))
-            self.found.append((float(mids[idx]), float(his[idx]), int(sm[idx]), int(base[idx])))
-        tangent = sm == 0
-        for idx in np.nonzero(tangent)[0]:
-            self.warnings.append(
-                f"tangential zero of the second derivative near p={mids[idx]:.6g}; not counted as an inflection"
-            )
-        keep = ~(opp | tangent)
-        self.los = np.concatenate((los[keep], mids[keep]))
-        self.his = np.concatenate((mids[keep], his[keep]))
-        self.sgn = np.concatenate((sgn[keep], sgn[keep]))
-        self.base = np.concatenate((base[keep], base[keep]))
+    def step(self, mids: list[float], sm: list[int]) -> None:
+        """Bracket the halves whose midpoint sign differs, keep the others:
+        the lower halves, then the upper ones."""
+        kept = []
+        for (lo, hi, sign, k), m, s in zip(self.cells, mids, sm):
+            if s == 0:
+                self.warnings.append(
+                    f"tangential zero of the second derivative near p={m:.6g}; not counted as an inflection"
+                )
+            elif s != sign:
+                self.found += [(lo, m, sign, k), (m, hi, s, k)]
+            else:
+                kept.append((lo, m, hi, sign, k))
+        self.cells = [(lo, m, s, k) for lo, m, _, s, k in kept] + [(m, hi, s, k) for _, m, hi, s, k in kept]
 
-    def clear(self, cleared: np.ndarray, sign: np.ndarray) -> None:
+    def clear(self, cleared: list[bool], sign: list[int]) -> None:
         # a half whose midpoint value is lost in rounding cannot be cleared
         # by splitting it further, and the kernel's signs there are noise
-        live = ~cleared & (sign != 0)
-        self.uncleared += int(np.count_nonzero(~cleared & (sign == 0)))
-        self.los, self.his, self.sgn, self.base = self.los[live], self.his[live], self.sgn[live], self.base[live]
+        self.uncleared += sum(not gone and s == 0 for gone, s in zip(cleared, sign))
+        self.cells = [cell for cell, gone, s in zip(self.cells, cleared, sign) if not gone and s != 0]
+
+
+class _OnGrid(dict):
+    """One spec's live cells, and the kernel's results around them as a dict
+    from grid point to (sign, log|L''|).
+
+    The ends of every live cell and two grid points on either side are
+    evaluated: the flanks of a run of zeros and the local scale of a
+    bracket. Those around tested cells (near) are the dict's own entries.
+    Those around each run of untested cells form one span [s, e), whose
+    results stay arrays; a point missing from the dict is read from them.
+    """
+
+    def __init__(self, grid: _Grid, cells: list[int], runs: list[tuple[int, int]]):
+        self.grid, self.cells, self.runs = grid, cells, runs
+        self.spans: list[list] = []  # [s, e, the runs inside, signs, logmag]
+        for a, b in runs:
+            if self.spans and a - 2 <= self.spans[-1][1]:
+                self.spans[-1][1:3] = min(b + 3, grid.size), self.spans[-1][2] + [(a, b)]
+            else:
+                self.spans.append([max(a - 2, 0), min(b + 3, grid.size), [(a, b)], None, None])
+        self.near: list[int] = []
+        for c in cells:
+            self.near += range(max(c - 2, self.near[-1] + 1 if self.near else 0), min(c + 4, grid.size))
+        if self.spans:
+            self.near = [k for k in self.near if not any(s <= k < e for s, e, *_ in self.spans)]
+
+    def __missing__(self, k: int) -> tuple[int, float]:
+        for s, e, _, signs, logmag in self.spans:
+            if s <= k < e:
+                return int(signs[k - s]), float(logmag[k - s])
+        raise KeyError(k)
+
+    def local_scale(self, k: int) -> float:
+        return max(self[j][1] for j in range(max(k - 2, 0), min(k + 4, self.grid.size)))
+
+    def scan(self, warnings: list[str]) -> tuple[list[_Bracket], _Split]:
+        """The brackets of the runs of live-cell ends where the kernel is
+        exactly zero (a root that fell on the grid, or a tangential touch)
+        and of the cells whose ends differ in sign; and the tested cells
+        whose ends share one, to split. Untested ones count as uncleared."""
+        grid, zeros, changes, flat, uncleared = self.grid, [], [], [], 0
+        for c in self.cells:
+            (s_lo, _), (s_hi, _) = self[c], self[c + 1]
+            if s_lo == 0:
+                zeros.append(c)
+            if s_hi == 0:
+                zeros.append(c + 1)
+            if s_lo * s_hi < 0:
+                changes.append(c)
+            elif s_lo == s_hi != 0:
+                flat.append((grid.point(c), grid.point(c + 1), s_lo, c))
+        for s, _, runs, signs, _ in self.spans:
+            for a, b in runs:
+                ends = signs[a - s : b - s + 1]
+                s_lo, s_hi = ends[:-1], ends[1:]
+                zeros += (np.flatnonzero(ends == 0) + a).tolist()
+                changes += (np.flatnonzero(s_lo * s_hi < 0) + a).tolist()
+                uncleared += int(np.count_nonzero((s_lo == s_hi) & (s_lo != 0)))
+        runs: list[list[int]] = []
+        for k in sorted(set(zeros)):
+            if runs and runs[-1][1] == k - 1:
+                runs[-1][1] = k
+            else:
+                runs.append([k, k])
+        brackets: list[_Bracket] = []
+        for a, b in runs:
+            if a == 0 or b == grid.size - 1:
+                warnings.append(f"zero curvature at scan boundary near p={grid.point(a):.6g}; skipped")
+                continue
+            mid = grid.point((a + b) // 2)
+            (s_left, lm_left), (s_right, lm_right) = self[a - 1], self[b + 1]
+            if s_left != s_right:
+                brackets.append(_Bracket(grid.point(a - 1), grid.point(b + 1), s_left, max(lm_left, lm_right), mid))
+            else:
+                warnings.append(
+                    f"tangential zero of the second derivative near p={mid:.6g}; not counted as an inflection"
+                )
+        for k in sorted(changes) if self.spans else changes:
+            brackets.append(_Bracket(grid.point(k), grid.point(k + 1), self[k][0], self.local_scale(k)))
+        return brackets, _Split(flat, uncleared)
 
 
 def _collect_brackets(
     batch: _Batch, grids: Sequence[_Grid], warnings: Sequence[list[str]]
 ) -> list[tuple[list[_Bracket], tuple[int, int, int]]]:
-    """For each spec of the batch, the brackets of every sign change of L''
-    on its grid and in its split cells.
+    """For each spec of the batch, the brackets, sorted, of every sign
+    change of L'' on its grid and in its split cells.
 
     Also returns, per spec, the counts for the scan's debug line: live grid
     cells, kernel points on the grid (halo included), and split cells left
@@ -631,95 +694,46 @@ def _collect_brackets(
     live cell, and each split level are one kernel call each for the whole
     batch.
     """
-    live = _live_cells(grids, batch)
-    # the ends of every live cell and two grid points on either side: the
-    # flanks of a run of zeros and the local scale of a bracket (see _brackets)
-    known = [
-        _sorted_unique(np.clip(np.concatenate([cells + shift for shift in range(-2, 4)]), 0, grid.size - 1))
-        for (cells, _), grid in zip(live, grids)
-    ]
-    on_grid = _joined(batch, {k: (grid.points(known[k]),) for k, grid in enumerate(grids)})
-    signs = [on_grid[k][0] for k in range(len(grids))]
-    logmag = [on_grid[k][1] for k in range(len(grids))]
-    runs, changes, splits = [], [], []
-    for k, (cells, tested) in enumerate(live):
-        pos = np.searchsorted(known[k], cells)
-        s_lo, s_hi = signs[k][pos], signs[k][pos + 1]
-        # runs of live-cell ends where the kernel is exactly zero: a root that
-        # fell on the grid (opposite flanking signs) or a tangential touch
-        zeros = _sorted_unique(np.concatenate((cells[s_lo == 0], cells[s_hi == 0] + 1)))
-        runs.append(np.split(zeros, np.nonzero(np.diff(zeros) != 1)[0] + 1) if zeros.size else [])
-        changes.append(cells[s_lo * s_hi < 0].tolist())
-        # equal-sign live cells: split at dyadic midpoints, keeping the halves
-        # exclusion cannot clear, for _SPLIT_DEPTH levels
-        flat = (s_lo == s_hi) & (s_lo != 0)
-        base = cells[flat & tested]
-        splits.append(
-            _Split(grids[k].points(base), grids[k].points(base + 1), s_lo[flat & tested], base,
-                   int(np.count_nonzero(flat & ~tested)))
-        )
+    on_grid = [_OnGrid(grid, *live) for grid, live in zip(grids, _live_cells(grids, batch))]
+    # one kernel call: every spec's near points, then every span
+    spans = [(k, span) for k, g in enumerate(on_grid) for span in g.spans]
+    ps = [(k + g.grid.k_lo) / g.grid.per_unit for g in on_grid for k in g.near]
+    sizes = [len(g.near) for g in on_grid] + [e - s for _, (s, e, *_) in spans]
+    owner = np.repeat(list(range(len(on_grid))) + [k for k, _ in spans], sizes)
+    pieces = [np.array(ps)] + [(np.arange(s, e) + grids[k].k_lo) / grids[k].per_unit for k, (s, e, *_) in spans]
+    signs, logmag = batch(np.concatenate(pieces), owner)
+    near = iter(zip(signs[: len(ps)].tolist(), logmag[: len(ps)].tolist()))
+    for g in on_grid:
+        g.update(zip(g.near, near))
+    head = len(ps)
+    for (_, span), size in zip(spans, sizes[len(on_grid) :]):
+        span[3:] = signs[head : head + size], logmag[head : head + size]
+        head += size
+
+    found, splits = zip(*(g.scan(spec_warnings) for g, spec_warnings in zip(on_grid, warnings)))
+    # equal-sign tested cells: split at dyadic midpoints, keeping the halves
+    # exclusion cannot clear, for _SPLIT_DEPTH levels
     for _depth in range(_SPLIT_DEPTH):
-        active = [k for k, split in enumerate(splits) if split.los.size]
+        active = [k for k, split in enumerate(splits) if split.cells]
         if not active:
             break
-        mids = {k: 0.5 * (splits[k].los + splits[k].his) for k in active}
-        at_mids = _joined(batch, {k: (mids[k],) for k in active})
+        mids = {k: ([0.5 * (lo + hi) for lo, hi, _, _ in splits[k].cells],) for k in active}
+        at_mids = batch.lists(batch, mids)
         for k in active:
-            splits[k].step(mids[k], at_mids[k][0])
-        tests = _joined(batch.test, {k: (splits[k].los, splits[k].his) for k in active})
+            splits[k].step(mids[k][0], at_mids[k][0])
+        ends = {k: ([lo for lo, _, _, _ in splits[k].cells], [hi for _, hi, _, _ in splits[k].cells]) for k in active}
+        tests = batch.lists(batch.test, ends)
         for k in active:
             splits[k].clear(*tests[k])
-    for split in splits:
-        split.uncleared += int(split.los.size)  # survivors of the last level are dropped
-
     out = []
-    for k, grid in enumerate(grids):
-        brackets = _brackets(grid, known[k], signs[k], logmag[k], runs[k], changes[k], splits[k], warnings[k])
-        out.append((brackets, (live[k][0].size, known[k].size, splits[k].uncleared)))
+    for g, brackets, split, spec_warnings in zip(on_grid, found, splits, warnings):
+        split.uncleared += len(split.cells)  # survivors of the last level are dropped
+        spec_warnings.extend(split.warnings)
+        brackets += [_Bracket(lo, hi, sign_lo, g.local_scale(k)) for lo, hi, sign_lo, k in split.found]
+        brackets.sort(key=lambda br: br.lo)
+        live = len(g.cells) + sum(b - a for a, b in g.runs)
+        out.append((brackets, (live, len(g.near) + sum(e - s for s, e, *_ in g.spans), split.uncleared)))
     return out
-
-
-def _brackets(
-    grid: _Grid,
-    known: np.ndarray,
-    signs: np.ndarray,
-    logmag: np.ndarray,
-    runs: list[np.ndarray],
-    changes: list[int],
-    split: _Split,
-    warnings: list[str],
-) -> list[_Bracket]:
-    """One spec's brackets, sorted, from its evaluated grid points, its runs
-    of exact zeros, its sign changes and its split cells."""
-
-    def at(k: int) -> tuple[int, float]:
-        i = int(np.searchsorted(known, k))
-        return int(signs[i]), float(logmag[i])
-
-    def local_scale(k: int) -> float:
-        return max(at(j)[1] for j in range(max(k - 2, 0), min(k + 4, grid.size)))
-
-    brackets: list[_Bracket] = []
-    for run in runs:
-        a, b = int(run[0]), int(run[-1])
-        if a == 0 or b == grid.size - 1:
-            warnings.append(f"zero curvature at scan boundary near p={grid.point(a):.6g}; skipped")
-            continue
-        mid = grid.point((a + b) // 2)
-        (s_left, lm_left), (s_right, lm_right) = at(a - 1), at(b + 1)
-        if s_left != s_right:
-            brackets.append(_Bracket(grid.point(a - 1), grid.point(b + 1), s_left, max(lm_left, lm_right), exact_p=mid))
-        else:
-            warnings.append(
-                f"tangential zero of the second derivative near p={mid:.6g}; not counted as an inflection"
-            )
-    warnings.extend(split.warnings)
-    for k in changes:
-        brackets.append(_Bracket(grid.point(k), grid.point(k + 1), at(k)[0], local_scale(k)))
-    for lo, hi, sign_lo, k in split.found:
-        brackets.append(_Bracket(lo, hi, sign_lo, local_scale(k)))
-    brackets.sort(key=lambda br: br.lo)
-    return brackets
 
 
 def _sections(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
@@ -780,31 +794,8 @@ def _path(lo: float, hi: float, guess: float, tolerance: float, steps: int) -> l
     return out
 
 
-def _walk(lo: float, hi: float, sign_lo: int, tolerance: float, steps: int, held: dict) -> tuple[float, float, int]:
-    """Plain bisection of [lo, hi] on the signs held (point -> sign), as
-    (lo, hi, steps taken in all): stop once hi - lo is within tolerance or
-    after _MAX_BISECT_ITER steps; collapse onto a midpoint that is stuck at
-    the resolution of the floats or where the sign is exactly zero; pause
-    where the next midpoint is not held."""
-    while hi - lo > tolerance and steps < _MAX_BISECT_ITER:
-        m = 0.5 * (lo + hi)
-        if m <= lo or m >= hi:
-            return m, m, steps
-        sign = held.get(m)
-        if sign is None:
-            break
-        if sign == 0:
-            return m, m, steps
-        steps += 1
-        if sign == sign_lo:
-            lo = m
-        else:
-            hi = m
-    return lo, hi, steps
-
-
 def _bisect_all(
-    kernel, brackets: list[_Bracket], tolerance: float, owner: np.ndarray | None = None, counts: Counter | None = None
+    kernel, brackets: list[_Bracket], tolerance: float, owner: Sequence | None = None, counts: Counter | None = None
 ) -> np.ndarray:
     """Refine every bracket by bisection, in about two kernel calls; returns
     the midpoints.
@@ -818,14 +809,19 @@ def _bisect_all(
     needs a midpoint its round did not hold has missed, and takes a tree
     round again. All open brackets share one kernel call per round.
 
-    Each walk is plain bisection (see _walk) and reads signs only at the
-    exact midpoints it takes. A point's sign does not depend on the call it
-    is in (see _Kernel), so the midpoints are those of one kernel call per
-    step, in fewer and fuller calls: numpy dispatch, not the number of
-    points, sets the cost of a call. kernel is a _Kernel or a _Batch, and
-    owner gives the spec of each bracket in it (None: the one spec of a
-    _Kernel). counts, where given, gains the "tree rounds", the "predicted
-    rounds" and the walks that "missed".
+    Each walk is plain bisection: stop once hi - lo is within tolerance or
+    after _MAX_BISECT_ITER steps; collapse onto a midpoint that is stuck at
+    the resolution of the floats or where the sign is exactly zero; pause
+    where the round holds no next midpoint. It reads a tree by node index
+    (the root in the middle, each child half the remaining span away) and a
+    path by position (a level's midpoint, then its hedge), so the signs it
+    reads are those at the exact midpoints it takes. A point's sign does
+    not depend on the call it is in (see _Kernel), so the midpoints are
+    those of one kernel call per step, in fewer and fuller calls: numpy
+    dispatch, not the number of points, sets the cost of a call. kernel is
+    a _Kernel or a _Batch, and owner gives the spec of each bracket in it
+    (None: the one spec of a _Kernel). counts, where given, gains the "tree
+    rounds", the "predicted rounds" and the walks that "missed".
 
     The brackets themselves keep their original endpoints: escalation needs
     endpoints whose double-precision signs are trustworthy, and those are
@@ -842,38 +838,57 @@ def _bisect_all(
             break
         trees = [k for k in walks if guess[k] is None]
         paths = [k for k in walks if guess[k] is not None]
-        rows: list[list[float]] = []
+        pieces, sizes, rows = [], [], []
         if trees:
             # no more levels than the widest bracket needs to reach tolerance
             widest = max(hi[k] - lo[k] for k in trees) / tolerance if tolerance > 0.0 else math.inf
             depth = min(_SECTION_DEPTH, math.frexp(widest)[1]) if math.isfinite(widest) else _SECTION_DEPTH
-            rows = _sections(np.array([lo[k] for k in trees]), np.array([hi[k] for k in trees]), depth).tolist()
+            nodes = _sections(np.array([lo[k] for k in trees]), np.array([hi[k] for k in trees]), depth)
+            pieces.append(nodes.ravel())
+            rows = nodes.tolist()
+            sizes += [nodes.shape[1]] * len(trees)
             counts["tree rounds"] += 1
         if paths:
-            rows += [_path(lo[k], hi[k], guess[k], tolerance, _MAX_BISECT_ITER - steps[k]) for k in paths]
+            along = [_path(lo[k], hi[k], guess[k], tolerance, _MAX_BISECT_ITER - steps[k]) for k in paths]
+            pieces.append(np.array([q for row in along for q in row]))
+            sizes += map(len, along)
             counts["predicted rounds"] += 1
-        sizes = [len(row) for row in rows]
-        ps = np.array([q for row in rows for q in row])
-        signs: list[int] = []
-        logmag: list[float] = []
-        if ps.size:
-            at = None if owner is None else owner[trees + paths].repeat(sizes)
-            signs, logmag = (a.tolist() for a in kernel(ps, at))
+        ps = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        at = None if owner is None else np.repeat([owner[k] for k in trees + paths], sizes)
+        signs, logmag = (out.tolist() for out in kernel(ps, at)) if ps.size else ([], [])
         base = 0  # where the points of the next walk start
-        for k, row, size in zip(trees + paths, rows, sizes):
-            sign = signs[base : base + size]
-            lo[k], hi[k], steps[k] = _walk(lo[k], hi[k], brackets[k].sign_lo, tolerance, steps[k], dict(zip(row, sign)))
-            still_open = hi[k] - lo[k] > tolerance and steps[k] < _MAX_BISECT_ITER
-            if guess[k] is not None:
+        for t, (k, size) in enumerate(zip(trees + paths, sizes)):
+            a, b, taken, sign_lo, toward = lo[k], hi[k], steps[k], brackets[k].sign_lo, guess[k]
+            tree = toward is None
+            # the node of the next midpoint and, in a tree, the distance to its children
+            node, half = (size // 2, (size + 1) // 2) if tree else (0, 0)
+            while b - a > tolerance and taken < _MAX_BISECT_ITER:
+                m = 0.5 * (a + b)
+                if m <= a or m >= b or (node < size and signs[base + node] == 0):
+                    a = b = m  # stuck at the resolution of the floats, or an exact zero
+                    break
+                if node >= size:
+                    break  # the round holds no next midpoint
+                taken += 1
+                left = signs[base + node] != sign_lo
+                a, b = (a, m) if left else (m, b)
+                if tree:
+                    half >>= 1
+                    node = (node - half if left else node + half) if half else size
+                else:  # the next level along the path, or the hedge, past which it holds nothing
+                    node = size if node % 2 else node + (2 if left == (toward < m) else 1)
+            lo[k], hi[k], steps[k] = a, b, taken
+            still_open = b - a > tolerance and taken < _MAX_BISECT_ITER
+            if not tree:
                 guess[k] = None
                 counts["missed"] += still_open
             elif still_open:
                 # the four nodes nearest the narrowed bracket, which ends at node `right`
-                right, lm = bisect.bisect_left(row, hi[k]), logmag[base : base + size]
+                row = rows[t]
+                right = bisect.bisect_left(row, b)
                 first = max(min(right - 2, size - 4), 0)
-                near = range(first, min(first + 4, size))
-                nodes = [(row[c], sign[c], lm[c]) for c in near if sign[c] != 0 and math.isfinite(lm[c])]
-                guess[k] = _estimate(lo[k], hi[k], nodes)
+                near = [(row[c], signs[base + c], logmag[base + c]) for c in range(first, min(first + 4, size))]
+                guess[k] = _estimate(a, b, [x for x in near if x[1] != 0 and math.isfinite(x[2])])
             base += size
     return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
 
@@ -923,7 +938,7 @@ def _end(terms: list[list[float]], side: float) -> float | None:
     close to 0 to bound.
     """
     _, k, a, e_a, _, _, log_hi, log_lo, eps_c, _ = terms
-    top = max(range(len(a)), key=lambda t: side * a[t])
+    top = a.index(max(a) if side > 0.0 else min(a))
     floor = log_lo[top] - 3.0 * eps_c[top]
     if not floor > -math.inf:
         return None
@@ -986,13 +1001,13 @@ def _windows(batch: _Batch) -> list[_Window]:
     budget = min(per_unit, _PARTIAL_BUDGET / (2.0 * _MAX_HALF_WIDTH))
     m = math.floor(_MAX_HALF_WIDTH * budget + 1e-9)
     cap = math.floor(_MAX_HALF_WIDTH * per_unit)
+    columns = [expsum.table.transpose(2, 0, 1).tolist() for expsum in batch.expsums]  # [spec][field][term]
     out = []
     for k, spec in enumerate(batch.specs):
         if len(set(spec.values)) < spec.n:
-            table = _ExpSum([merge_equal_values(spec)]).table[:, :, 0]
+            terms = _ExpSum([merge_equal_values(spec)]).table[:, :, 0].tolist()
         else:
-            table = batch.expsums[batch.group[k]].table[:, :, batch.row[k]]
-        terms = table.tolist()
+            terms = columns[batch.group[k]][batch.row[k]]
         q_lo, q_hi = _end(terms, -1.0), _end(terms, 1.0)
         ends = (None if q_lo is None else 1.0 + q_lo, None if q_hi is None else 1.0 + q_hi)
         k_lo = None if q_lo is None else math.floor(ends[0] * per_unit) - 1
@@ -1116,66 +1131,50 @@ def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
     """
     _check_precision(precision)
     outcomes: list = [None] * len(specs)
-    scanned = []
+    scanned, shapes = [], []
     for k, spec in enumerate(specs):
-        if spec.is_constant:
+        shape = None if spec.is_constant else _shape(spec)
+        if shape is None:
             outcomes[k] = NoInflectionError("the mean is constant; there is no inflection point")
-        elif not _shape(spec)[2]:
+        elif not shape[2]:
             outcomes[k] = NoInflectionError("values are equal at working precision; the mean is constant")
         else:
             scanned.append(k)
+            shapes.append(shape)
     if not scanned:
         return outcomes
-    batch = _Batch([specs[k] for k in scanned])
+    batch = _Batch([specs[k] for k in scanned], shapes)
     windows = _windows(batch)
     warnings = [[_exhausted(window)] if window.capped else [] for window in windows]
     grids = [window.grid for window in windows]
     collected = _collect_brackets(batch, grids, warnings)
     brackets = [br for found, _ in collected for br in found]
-    owner = np.array([t for t, (found, _) in enumerate(collected) for _ in found], dtype=np.intp)
+    owner = [t for t, (found, _) in enumerate(collected) for _ in found]
     calls, points = batch.calls, batch.points
     counts: Counter = Counter()
     mids = _bisect_all(batch, brackets, _REFINE_TOLERANCE, owner, counts)
     for window, (_, (live, grid_points, uncleared)) in zip(windows, collected):
-        lo, hi = window.grid.span
         _log.debug(
             "scan window [%g, %g] (left end %s, right end %s): "
             "%d live grid cells, %d kernel points on the grid (halo included), %d split cells left uncleared",
-            lo,
-            hi,
-            *window.reasons,
-            live,
-            grid_points,
-            uncleared,
+            *window.grid.span, *window.reasons, live, grid_points, uncleared,
         )
     start = 0
     for t, k in enumerate(scanned):
-        window = windows[t]
-        found = collected[t][0]
-        report = _report(
-            specs[k], found, mids[start : start + len(found)], window.grid.span, precision, warnings[t], counts
-        )
-        start += len(found)
+        window, found = windows[t], collected[t][0]
+        end = start + len(found)
+        report = _report(specs[k], found, mids[start:end], window.grid.span, precision, warnings[t], counts)
+        start = end
         if window.capped:
-            outcomes[k] = RangeExhaustedError(
-                f"no certified scan window within half-width {_MAX_HALF_WIDTH:g}", report=report
-            )
-        else:
-            outcomes[k] = report
+            why = f"no certified scan window within half-width {_MAX_HALF_WIDTH:g}"
+            report = RangeExhaustedError(why, report=report)
+        outcomes[k] = report
     _log.debug(
         "batch of %d scans: bisection: %d kernel calls, %d points, %d tree rounds, %d predicted rounds, "
         "%d walks missed their prediction; residuals: %d deferred, %d taken at 50 digits; "
         "in all: %d kernel calls, %d points",
-        len(scanned),
-        batch.calls - calls,
-        batch.points - points,
-        counts["tree rounds"],
-        counts["predicted rounds"],
-        counts["missed"],
-        counts["deferred"],
-        counts["eager"],
-        batch.calls,
-        batch.points,
+        len(scanned), batch.calls - calls, batch.points - points, counts["tree rounds"], counts["predicted rounds"],
+        counts["missed"], counts["deferred"], counts["eager"], batch.calls, batch.points,
     )
     return outcomes
 

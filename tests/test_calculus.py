@@ -188,7 +188,8 @@ def _ref_log_ratio(a, b):
 
 
 def _ref_pairwise_second_derivative(spec, p):
-    """L'' in doubles from the pairwise form, or None where it keeps under ten digits.
+    """L'' in doubles from the pairwise form, or None where it keeps under
+    ten digits; 0.0 where every term and its rounding are exactly 0.
 
     Written out on its own: the log ratios, the exponents of p - 1 over the
     largest, every pair term and the rounding each term can carry are
@@ -226,7 +227,7 @@ def _ref_pairwise_second_derivative(spec, p):
     s = math.fsum(ek * sk for ek, sk in zip(e, sums))
     size = math.fsum(ek * mk for ek, mk in zip(e, sizes))
     if abs(s) <= _CANCELLATION_LIMIT * size:
-        return None
+        return 0.0 if size == 0.0 else None
     return math.copysign(math.exp(t_max + math.log(abs(s)) - 3.0 * math.log(math.fsum(v))), s)
 
 
@@ -661,13 +662,38 @@ class TestPairwiseFallback:
             if abs(bracket) >= _CANCELLATION_LIMIT * scale:
                 continue
             if calculus._pairwise_second_derivative(spec, p) is None:
-                # the pairwise form cancels too: "standard" stops before 50 digits
-                assert got == _ref_lehmer(spec, p) * bracket, (values, p)
+                # the pairwise form cancels too: "standard" stops before 50
+                # digits, with 0.0 where every pairwise term is exactly 0
+                # (the pair at p = 1)
+                exact_zero = calculus._pairwise_parts(spec, p)[1] == 0.0
+                assert got == (0.0 if exact_zero else _ref_lehmer(spec, p) * bracket), (values, p)
                 continue
             handed_on += 1
             want = _mp_moment_second_derivative(spec, p, got)
             assert want != 0.0 and abs(got - want) <= self._tolerance(spec, p, True) * abs(want), (values, p, got, want)
         assert handed_on >= least, handed_on
+
+    @pytest.mark.parametrize("values", [[0.5, 2.5], [3.0, 7.0], [1e-5, 1e5]])
+    def test_a_unit_pair_is_exactly_flat_at_one(self, values, monkeypatch):
+        # every pairwise term is exactly 0 there, and so is L''(1) by the
+        # closed form: each precision gives 0.0, and none takes 50 digits
+        # for it but "extended"
+        spec = make_spec(values)
+        assert calculus._pairwise_parts(spec, 1.0)[:2] == (0.0, 0.0)
+        assert calculus._double_second_derivative(spec, 1.0) == (0.0, None)
+        taken = []
+        mp_path = calculus._second_derivative_mp
+
+        def counted(*args, **kwargs):
+            taken.append(args[1])
+            return mp_path(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "_second_derivative_mp", counted)
+        for precision in ("auto", "standard"):
+            assert second_derivative(spec, 1.0, precision=precision) == 0.0, precision
+        assert not taken
+        assert second_derivative(spec, 1.0, precision="extended") == 0.0
+        assert calculus._fifty_digit_second_derivative(spec, 1.0) == 0.0  # what "auto" took before
 
     def test_beyond_the_largest_double(self):
         # L'' of this pair near p = 1 exceeds 1.8e308: infinite, as L * bracket gives it

@@ -1,8 +1,10 @@
 """Inflection location: scan, bisection, bounds, closed-form cross-checks."""
 
+import hashlib
 import logging
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import mpmath as mp
@@ -596,9 +598,9 @@ class TestExclusionSoundness:
         # the canonical instance over +-8192 at 8 points per unit: about
         # 131k grid points, of which a handful near the roots stay live
         spec = make_spec(THREE_ROOT_VALUES)
-        [(cells, tested)] = _live_cells([_Grid(-65536, 65536)], _Batch([spec]))
-        assert 3 <= cells.size <= 200
-        assert tested.all()
+        [(cells, runs)] = _live_cells([_Grid(-65536, 65536)], _Batch([spec]))
+        assert 3 <= len(cells) <= 200
+        assert not runs  # every live cell was tested down to its own level
 
 
 class TestGridHalo:
@@ -1085,3 +1087,70 @@ class TestBatchIndependence:
         windows = {text.split("scan_range=", 1)[1].split(")", 1)[0] + ")" for text in alone if "scan_range" in text}
         assert {"(0.75, 1.25)", "(-1000000.0, 1000000.0)"} <= windows
         assert len(windows) >= 20  # one window per spec, of widths from 0.5 to 2e6
+
+
+class TestPinnedOutcomes:
+    """The scan's outcomes on a seeded set, residuals read, pinned by their
+    SHA-256 per precision mode. A change that moves an outcome on purpose
+    updates the digest and says why in CHANGES.md."""
+
+    DIGESTS = {
+        "auto": "1d458cd30b74745f9f318db23501e3fe2f569aaa2a9c98457075226190de5a1a",
+        "standard": "07a76bff4641ab616573b7da0310c0254c89db37aa2eb95b2ab795867c4c8c42",
+        "extended": "c1866b0e595ddbeca9fd834ba7800f0cd614f82e0d5beb6a8c39eb44cdc40b33",
+    }
+    NAMED = [
+        (0.5, 2.5), (3.0, 7.0), (1e-5, 1e5), (1.0, 2.0, 3.0), tuple(THREE_ROOT_VALUES), (1.0, 1.0001, 1.0002),
+        (1e-50, 1.0, 1e50), (1.0, 1.0 + 1e-6, 1.0 + 3e-6), (1.0, 1.0, 2.0), (1.0, 2.0, 2.0, 3.0), (10.0, 10.00001),
+        (1e-200, 1e-150, 1e305), (1e-300, 1e300), (3.0, 3.0, 3.0),
+    ]
+    ULP_TRIPLE = (2.0, 2.0 + 4.440892098500626e-16, 2.0 + 8.881784197001252e-16)
+
+    @classmethod
+    def _specs(cls, precision):
+        rng = np.random.default_rng(20261020)
+        cluster = Cluster()
+        specs = [make_spec(LogUniform().draw(rng, 3).tolist()) for _ in range(120)]
+        for n in (2, 4, 5, 6):
+            specs += [make_spec(LogUniform().draw(rng, n).tolist()) for _ in range(12)]
+        for n in (4, 5, 6):
+            specs += [make_spec(cluster.draw(rng, n).tolist()) for _ in range(12)]
+        for k in range(16):
+            n = 2 + k % 4
+            specs.append(make_spec(LogUniform().draw(rng, n).tolist(), rng.uniform(0.5, 2.0, n).tolist()))
+        specs += [make_spec((1.0 + rng.uniform(-1e-6, 1e-6, 3)).tolist()) for _ in range(8)]
+        named = [make_spec(list(values)) for values in cls.NAMED] + [make_spec([0.5, 2.5], [1.0, 3.0])]
+        if precision == "auto":
+            return specs + named + [make_spec(list(cls.ULP_TRIPLE))]
+        return specs[::6] + named
+
+    @pytest.mark.parametrize("precision", ["auto", "standard", "extended"])
+    def test_digest_in_batches_of_four_and_singly(self, precision):
+        specs = self._specs(precision)
+        for size in (4, 1):
+            outcomes = []
+            for start in range(0, len(specs), size):
+                outcomes += [_outcome(o) for o in _scan_many(specs[start : start + size], precision)]
+            digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+            assert digest == self.DIGESTS[precision], (precision, size, digest)
+
+
+class TestBlurredCells:
+    """Cells under a coarse cell whose midpoint value is lost in rounding stay
+    live untested, as runs: none of them becomes a Python object of its own."""
+
+    def test_ulp_triple_scans_its_runs_in_bounded_memory(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="lehmer.inflection")
+        spec = make_spec(list(TestPinnedOutcomes.ULP_TRIPLE))
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeExhaustedError) as info:
+                find_inflections(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(info.value.report.roots) == 3
+        [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("scan window")]
+        assert "400000 live grid cells" in line, line
+        # 62 MiB with the cells as index arrays; 108 MiB with one list entry per cell
+        assert peak < 80 * 2**20, peak / 2**20

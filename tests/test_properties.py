@@ -5,6 +5,7 @@ import math
 from hypothesis import assume, example, given, settings, strategies as st
 
 from lehmer import (
+    calculus,
     count_bound,
     first_derivative,
     lehmer,
@@ -119,3 +120,21 @@ def test_weighted_pair_inflection_hits_midpoint(x1, x2, w1, w2):
     p_star = weighted_n2_inflection(spec)
     midpoint = (x1 + x2) / 2.0
     assert math.isclose(float(lehmer(spec, p_star)), midpoint, rel_tol=1e-9)
+
+
+@given(
+    values_st,
+    st.one_of(st.none(), st.lists(st.one_of(st.just(1.0), weights_st), min_size=6, max_size=6)),
+    st.one_of(st.just(1.0), p_st),
+)
+@example([0.5, 2.5], None, 1.0)
+@example([0.5, 2.5], [2.0] * 6, 1.0)
+@example([0.5, 2.5, 0.5], None, 1.0)
+@settings(max_examples=300, deadline=None)
+def test_pairwise_size_is_zero_only_for_a_unit_pair_at_one(values, weights, p):
+    # there L''(1) = 0 exactly, and second_derivative gives 0.0 without 50 digits
+    spec = make_spec(values, None if weights is None else weights[: len(values)])
+    parts = calculus._pairwise_parts(spec, p)
+    if parts is not None and parts[1] == 0.0:
+        assert spec.n == 2 and spec.weights == (1.0, 1.0) and p == 1.0, (values, weights, p)
+        assert spec.values[0] != spec.values[1] and parts[0] == 0.0
