@@ -25,8 +25,8 @@ their digits (see _pairwise_parts). That sum cancels near a root
 of L''. Only where it too loses more than ten digits, measured against the
 rounding each of its terms can carry, does "auto" escalate to 50-digit
 arithmetic ("standard" keeps the double bracket there). Where every term
-of the pairwise form is exactly 0, which happens only for a unit-weight
-pair at p = 1, both give L'' = 0.0 at once, as the closed form does. A
+of the pairwise form is exactly 0, which happens only for a pair of
+equal weights at p = 1, both give L'' = 0.0 at once, as the closed form does. A
 50-digit bracket that cancels to noise in turn gives the pairwise value
 where that keeps ten digits, and 0.0 only where it does not. The double
 steps, and a bound on |L''| where both forms cancel, are
@@ -38,8 +38,10 @@ Each exponent gets one table of powers (core._powers: the shifted terms
 w_i x_i^p, their largest and their exact sum). An evaluation point
 (core._point) is the tables of p and p-1 together with L(p); they serve
 L, m_1, m_2, L' and L'' alike, and the last point is kept, so that L, L'
-and L'' asked at the same (spec, p) build the two tables once. The moments
-read the squared logs from MeanSpec.log_powers. The 50-digit path likewise
+and L'' asked at the same (spec, p) build the two tables once;
+second_derivative hands the point it holds on to the double steps. The
+moments read the squared logs from MeanSpec.log_powers, each one fsum of
+the products u_i (log x_i)^k. The 50-digit path likewise
 computes the powers w_i x_i^p and w_i x_i^(p-1) once per call and shares
 them among the four moments and L; the values, weights, logs and squared
 logs it needs at the working precision are kept for the last few specs, so
@@ -47,8 +49,12 @@ a bisection or a finite-difference oracle that asks about one spec many
 times converts and takes logs only once. Those constants also hold each
 value's log as mpmath's power takes it, at 10 more bits, and x_i^p and
 x_i^(p-1) share it: a power whose exponent is neither an integer nor a
-half-integer is then one exp per term (see _mp_terms). Both paths round
-exactly as separate passes, and mp.power, would.
+half-integer is then one exp per term (see _mp_terms). It works on raw
+libmp values, not mpf objects: each step is the libmp call that the mpf
+operator it stands for makes, on the same operands and at the working
+precision and rounding, so it rounds as the operator does without building
+an object per intermediate value. Both paths round exactly as separate
+passes, and mp.power, would.
 
 For two and three values the module also provides the closed forms of L''
 and, for n=3, the constant K, the bracketed factor tilde_l whose single root
@@ -66,10 +72,26 @@ import functools
 import math
 import sys
 from math import exp, fsum, log
+from operator import mul
 from typing import Callable, NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import mpf_exp, mpf_log, mpf_mul
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    mpf_abs,
+    mpf_cmp,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_sign,
+    mpf_sub,
+    mpf_sum,
+    to_float,
+)
 
 from .core import MeanSpec, _lehmer_value, _point, _powers
 from .errors import UsageError
@@ -101,8 +123,7 @@ _U = 2.0**-53  # unit roundoff of doubles
 
 def _table_moment(spec: MeanSpec, table: tuple, k: int) -> float:
     """m_k at the exponent of table = _powers(spec, p), for k = 1 or 2."""
-    _, _, u, s = table
-    return fsum(ui * lk for ui, lk in zip(u, spec.log_powers[k - 1])) / s
+    return fsum(map(mul, table[2], spec.log_powers[k - 1])) / table[3]
 
 
 def log_moment(spec: MeanSpec, p: float, k: int) -> float:
@@ -139,7 +160,7 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
     ts = [g + q * sl + lr for _, _, g, sl, lr in spec.pair_table]
     t_max = max(ts)
     shift = t_max - a_p[top_p] - a_q[top_q]
-    s = fsum(exp(t - t_max) for t in ts)
+    s = fsum([exp(t - t_max) for t in ts])
     delta = exp(shift) * s / (su * sv)
     if delta < sys.float_info.min:
         # a subnormal L'/L has lost digits: put L into the exponent instead
@@ -151,8 +172,11 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
 # second derivative
 
 
+_PRECISIONS = ("standard", "extended", "auto")
+
+
 def _check_precision(precision: str) -> None:
-    if precision not in ("standard", "extended", "auto"):
+    if precision not in _PRECISIONS:
         raise UsageError(f"unknown precision mode {precision!r}")
 
 
@@ -173,8 +197,9 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
                     floor; else 0.0 (default)
     """
     p = float(p)
-    _check_precision(precision)
-    _point(spec, p)  # DomainError for a non-finite p, in every precision
+    if precision not in _PRECISIONS:
+        _check_precision(precision)
+    point = _point(spec, p)  # DomainError for a non-finite p, in every precision
     if spec.is_constant:
         return 0.0
     if precision == "extended":
@@ -182,7 +207,7 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
         if value is None:
             value = _pairwise_second_derivative(spec, p)
         return 0.0 if value is None else value
-    value, bound = _double_second_derivative(spec, p)
+    value, bound = _double_second_derivative(spec, p, point)
     if bound is None or precision == "standard":
         return value
     return _fifty_digit_second_derivative(spec, p)
@@ -197,7 +222,7 @@ def _fifty_digit_second_derivative(spec: MeanSpec, p: float) -> float:
     return 0.0 if value is None else value
 
 
-def _double_second_derivative(spec: MeanSpec, p: float) -> tuple[float, float | None]:
+def _double_second_derivative(spec: MeanSpec, p: float, point: tuple | None = None) -> tuple[float, float | None]:
     """(L''(p) as "standard" gives it, None) where the double bracket or the
     pairwise form keeps ten decimal digits, and (0.0, None) where every
     pairwise term is exactly 0; else (L * bracket, a bound on |L''(p)|),
@@ -206,15 +231,17 @@ def _double_second_derivative(spec: MeanSpec, p: float) -> tuple[float, float | 
     The bound is the pairwise form's |sum| plus 1e-10 of its size, in the
     form's own scale: far above the rounding its terms can carry. It is inf
     where the form has no pairs or its scale leaves the double range.
+    point is _point(spec, p) where the caller holds it already.
     """
-    tp, tq, mean = _point(spec, p)
-    m1p = _table_moment(spec, tp, 1)
-    m1q = _table_moment(spec, tq, 1)
-    m2p = _table_moment(spec, tp, 2)
-    m2q = _table_moment(spec, tq, 2)
+    (_, _, up, sp), (_, _, uq, sq), mean = _point(spec, p) if point is None else point
+    l1, l2 = spec.log_powers
+    m1p = fsum(map(mul, up, l1)) / sp
+    m1q = fsum(map(mul, uq, l1)) / sq
+    m2p = fsum(map(mul, up, l2)) / sp
+    m2q = fsum(map(mul, uq, l2)) / sq
     terms = (m2p, -m2q, -2.0 * m1q * m1p, 2.0 * m1q * m1q)
     bracket = fsum(terms)
-    scale = max(abs(t) for t in terms)
+    scale = max(map(abs, terms))
     if scale > 0.0 and abs(bracket) < _CANCELLATION_LIMIT * scale:
         parts = _pairwise_parts(spec, p)
         if parts is None:
@@ -222,7 +249,7 @@ def _double_second_derivative(spec: MeanSpec, p: float) -> tuple[float, float | 
         s, size, t_max, log_den = parts
         if abs(s) > _CANCELLATION_LIMIT * size:
             return _pairwise_value(s, t_max, log_den), None
-        if size == 0.0:  # every term exactly 0: a unit-weight pair at p = 1
+        if size == 0.0:  # every term exactly 0: an equal-weight pair at p = 1
             return 0.0, None
         try:
             return mean * bracket, exp(t_max + log(abs(s) + _CANCELLATION_LIMIT * size) - log_den)
@@ -263,7 +290,8 @@ def _pairwise_parts(spec: MeanSpec, p: float) -> tuple[float, float, float, floa
     apart lose nothing to it, and no exponent is as large as (p-1) log x_k.
     The sum cancels near a root of L''. Its size is the same sum with every
     term replaced by the rounding it can carry: an exponent e rounds to
-    about |e| ulps, and so does the v_k taken from it. Neither the largest
+    about |e| ulps, and so does the v_k taken from it. log w_j - log w_i is
+    exactly 0 where the weights are equal, and adds nothing. Neither the largest
     term nor the |d_i| would be a sound measure, since the d_i themselves
     cancel.
     """
@@ -271,37 +299,42 @@ def _pairwise_parts(spec: MeanSpec, p: float) -> tuple[float, float, float, floa
     if not pairs:
         return None
     q = p - 1.0
-    n, r, lw = spec.n, spec.log_ratios, spec.log_weights
-    top = max(range(n), key=lambda k: q * r[k][0] + lw[k])
-    exps = [q * r[k][top] + (lw[k] - lw[top]) for k in range(n)]
+    n, r, lw, w = spec.n, spec.log_ratios, spec.log_weights, spec.weights
+    keys = [q * rk[0] + lwk for rk, lwk in zip(r, lw)]
+    top = keys.index(max(keys))
+    lw_top = lw[top]
+    exps = [q * rk[top] + (lwk - lw_top) for rk, lwk in zip(r, lw)]
     v = [exp(e) for e in exps]
-    ulps = [1.0 + abs(q * r[k][top]) + abs(lw[k]) + abs(lw[top]) for k in range(n)]
+    ulps = [1.0 + abs(q * rk[top]) + abs(lwk) + abs(lw_top) for rk, lwk in zip(r, lw)]
     ts, sums, sizes = [], [], []
     for i, j, _, _, lr in pairs:
-        qr = q * r[j][i]
+        ri, rj = r[i], r[j]
+        qr = q * rj[i]
         gap = qr + (lw[j] - lw[i])  # log(v_j / v_i)
         big, small = (i, j) if gap <= 0.0 else (j, i)
         diff = math.copysign(v[big] * math.expm1(-abs(gap)), gap)  # v_j - v_i
-        others = [k for k in range(n) if k != i and k != j]
-        sums.append(fsum([r[i][j] * diff] + [v[k] * r[i][k] for k in others] + [v[k] * r[j][k] for k in others]))
-        sizes.append(
-            abs(r[i][j]) * (abs(diff) * (ulps[big] + 1.0) + v[small] * (abs(qr) + abs(lw[i]) + abs(lw[j])))
-            + sum(v[k] * ulps[k] * (abs(r[i][k]) + abs(r[j][k])) for k in others)
-        )
+        gap_ulps = abs(qr) + abs(lw[i]) + abs(lw[j]) if w[i] != w[j] else abs(qr)
+        size = abs(ri[j]) * (abs(diff) * (ulps[big] + 1.0) + v[small] * gap_ulps)
+        if n == 2:
+            sums.append(ri[j] * diff)
+        else:
+            others = [k for k in range(n) if k != i and k != j]
+            sums.append(fsum([ri[j] * diff] + [v[k] * ri[k] for k in others] + [v[k] * rj[k] for k in others]))
+            size += sum([v[k] * ulps[k] * (abs(ri[k]) + abs(rj[k])) for k in others])
+        sizes.append(size)
         ts.append(exps[i] + exps[j] + lr)
     t_max = max(ts)
     e = [exp(t - t_max) for t in ts]
-    s = fsum(ek * sk for ek, sk in zip(e, sums))
-    size = fsum(ek * mk for ek, mk in zip(e, sizes))
-    return s, size, t_max, 3.0 * log(fsum(v))
+    return fsum(map(mul, e, sums)), fsum(map(mul, e, sizes)), t_max, 3.0 * log(fsum(v))
 
 
 @functools.lru_cache(maxsize=16)
 def _mp_constants_at(
     values: tuple[float, ...], weights: tuple[float, ...], prec: int, rnd: str
-) -> tuple[tuple[mp.mpf, ...], ...]:
-    """The mpf values, weights, logs and squared logs of one spec, and the
-    logs of the values as mpmath's power takes them (raw, with 10 more bits).
+) -> tuple[tuple, ...]:
+    """The mpf values of one spec, and its weights, logs and squared logs and
+    the logs of the values as mpmath's power takes them (with 10 more bits),
+    these four as raw libmp values.
 
     prec and rnd are the working precision and rounding in force, which these
     are computed at; they are part of the key so that a change of precision
@@ -310,12 +343,18 @@ def _mp_constants_at(
     xs = tuple(mp.mpf(v) for v in values)
     logs = tuple(mp.log(x) for x in xs)
     power_logs = tuple(mpf_log(x._mpf_, prec + 10, rnd) for x in xs)
-    return xs, tuple(mp.mpf(w) for w in weights), logs, tuple(li**2 for li in logs), power_logs
+    return (
+        xs,
+        tuple(mp.mpf(w)._mpf_ for w in weights),
+        tuple(li._mpf_ for li in logs),
+        tuple((li**2)._mpf_ for li in logs),
+        power_logs,
+    )
 
 
 def _mp_constants(spec: MeanSpec) -> tuple[tuple, ...]:
     """(values, weights, logs, squared logs, power logs) of spec at the
-    current working precision.
+    current working precision; see _mp_constants_at.
 
     Kept for the last 16 specs only: a scan, a 50-digit bisection or a
     finite-difference oracle asks for the same spec many times in a row.
@@ -324,8 +363,9 @@ def _mp_constants(spec: MeanSpec) -> tuple[tuple, ...]:
     return _mp_constants_at(spec.values, spec.weights, prec, rnd)
 
 
-def _mp_terms(spec: MeanSpec, p: mp.mpf) -> list[mp.mpf]:
-    """Weights w_i x_i^p as mpf values at the current working precision.
+def _mp_terms(spec: MeanSpec, t: tuple) -> list[tuple]:
+    """Weights w_i x_i^p as raw libmp values at the current working
+    precision, for p given as the raw value t.
 
     Bit for bit w_i * mp.power(x_i, p). For an exponent that is neither an
     integer nor a half-integer, mpmath's power is exp(p log x_i), with the
@@ -333,52 +373,75 @@ def _mp_terms(spec: MeanSpec, p: mp.mpf) -> list[mp.mpf]:
     only the exp is taken per call.
     """
     xs, ws, _, _, power_logs = _mp_constants(spec)
-    t = p._mpf_
-    if t[2] >= -1:  # an integer or a half-integer: mpmath takes its own path
-        return [w * mp.power(x, p) for x, w in zip(xs, ws)]
     prec, rnd = mp.mp._prec_rounding
-    return [w * mp.make_mpf(mpf_exp(mpf_mul(t, c), prec, rnd)) for c, w in zip(power_logs, ws)]
+    if t[2] >= -1:  # an integer or a half-integer: mpmath takes its own path
+        p = mp.make_mpf(t)
+        return [mpf_mul(w, mp.power(x, p)._mpf_, prec, rnd) for x, w in zip(xs, ws)]
+    return [mpf_mul(w, mpf_exp(mpf_mul(t, c), prec, rnd), prec, rnd) for c, w in zip(power_logs, ws)]
 
 
-def _mp_lehmer(spec: MeanSpec, p) -> mp.mpf:
-    num = mp.fsum(_mp_terms(spec, p))
-    den = mp.fsum(_mp_terms(spec, p - 1))
+def _mp_lehmer(spec: MeanSpec, p: mp.mpf) -> mp.mpf:
+    num = mp.fsum(map(mp.make_mpf, _mp_terms(spec, p._mpf_)))
+    den = mp.fsum(map(mp.make_mpf, _mp_terms(spec, (p - 1)._mpf_)))
     return num / den
 
 
-def _mp_curvature(spec: MeanSpec, p) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
-    """The bracket L''/L, the largest of its terms, and L, in one pass.
+_ONE = from_int(1)
+
+
+def _mp_curvature(spec: MeanSpec, t: tuple) -> tuple[tuple, tuple, tuple]:
+    """The bracket L''/L, the largest of its terms, and L, in one pass, at
+    p given as the raw libmp value t; raw libmp values too.
 
     The powers w_i x_i^p and w_i x_i^(p-1) are each computed once and shared,
     with the cached logs and their squares, by the four moments and by L.
+    Every step is the libmp call that the mpf operator it stands for makes,
+    at the working precision and rounding: p - 1, the sums (mp.fsum), the
+    products, the quotients, 2 m_1 and the absolute values; the largest
+    term is the first of equal ones, as max keeps it.
     """
-    u_p = _mp_terms(spec, p)
-    u_q = _mp_terms(spec, p - 1)
-    s_p = mp.fsum(u_p)
-    s_q = mp.fsum(u_q)
+    prec, rnd = mp.mp._prec_rounding
     _, _, logs, squares, _ = _mp_constants(spec)
-    m1p = mp.fsum(ui * li for ui, li in zip(u_p, logs)) / s_p
-    m1q = mp.fsum(ui * li for ui, li in zip(u_q, logs)) / s_q
-    m2p = mp.fsum(ui * li for ui, li in zip(u_p, squares)) / s_p
-    m2q = mp.fsum(ui * li for ui, li in zip(u_q, squares)) / s_q
-    bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
-    scale = max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
-    return bracket, scale, s_p / s_q
+    moments = []
+    for u in (_mp_terms(spec, t), _mp_terms(spec, mpf_sub(t, _ONE, prec, rnd))):
+        total = mpf_sum(u, prec, rnd)
+        for c in (logs, squares):
+            moments.append(mpf_div(mpf_sum([mpf_mul(a, b, prec, rnd) for a, b in zip(u, c)], prec, rnd), total, prec, rnd))
+        moments.append(total)
+    m1p, m2p, s_p, m1q, m2q, s_q = moments
+    twice = mpf_mul_int(m1q, 2, prec, rnd)
+    bracket = mpf_sub(mpf_sub(m2p, m2q, prec, rnd), mpf_mul(twice, mpf_sub(m1p, m1q, prec, rnd), prec, rnd), prec, rnd)
+    scale = mpf_abs(m2p, prec, rnd)
+    for term in (m2q, mpf_mul(twice, m1p, prec, rnd), mpf_mul(twice, m1q, prec, rnd)):
+        term = mpf_abs(term, prec, rnd)
+        if mpf_cmp(term, scale) > 0:
+            scale = term
+    return bracket, scale, mpf_div(s_p, s_q, prec, rnd)
 
 
-def _below_noise(bracket: mp.mpf, scale: mp.mpf, dps: int) -> bool:
+@functools.lru_cache(maxsize=16)
+def _noise_floor(dps: int, prec: int, rnd: str) -> tuple:
+    """mp.mpf(10) ** (8 - dps) at prec and rnd, raw."""
+    return mpf_pow_int(from_int(10), 8 - dps, prec, rnd)
+
+
+def _below_noise(bracket: tuple, scale: tuple, dps: int) -> bool:
     """Whether a bracket taken at dps digits is lost in their rounding: the
     floor sits eight digits above the last, against its largest term."""
-    return abs(bracket) < mp.mpf(10) ** (8 - dps) * scale
+    prec, rnd = mp.mp._prec_rounding
+    floor = mpf_mul(_noise_floor(dps, prec, rnd), scale, prec, rnd)
+    return mpf_cmp(mpf_abs(bracket, prec, rnd), floor) < 0
 
 
 def _second_derivative_mp(spec: MeanSpec, p: float, dps: int = _EXTENDED_DPS) -> float | None:
     """L''(p) from the bracket at dps digits, or None where it cancels below them."""
     with mp.workdps(dps):
-        bracket, scale, value = _mp_curvature(spec, mp.mpf(p))
+        bracket, scale, value = _mp_curvature(spec, from_float(p))
         if _below_noise(bracket, scale, dps):
             return None
-        return float(value * bracket)
+        prec, rnd = mp.mp._prec_rounding
+        # float() of an mpf rounds as the context does; to_float's default rounds down
+        return to_float(mpf_mul(value, bracket, prec, rnd), rnd=rnd)
 
 
 def _mp_sign(spec: MeanSpec, p: float) -> int:
@@ -397,9 +460,9 @@ def _mp_sign(spec: MeanSpec, p: float) -> int:
     spread = max(abs(p), abs(p - 1.0)) * (max(l) - min(l)) + (max(lw) - min(lw))
     for dps in (_EXTENDED_DPS, _EXTENDED_DPS + math.ceil(spread / math.log(10.0))):
         with mp.workdps(dps):
-            bracket, scale, _ = _mp_curvature(spec, mp.mpf(p))
+            bracket, scale, _ = _mp_curvature(spec, from_float(p))
             if not _below_noise(bracket, scale, dps):
-                return int(mp.sign(bracket))
+                return mpf_sign(bracket)
     return 0
 
 
@@ -423,24 +486,30 @@ def second_derivative_n2(spec: MeanSpec, p: float) -> float:
 
     evaluated in the log domain. Exactly 0 at p = 1 (and for equal values);
     positive for p < 1 and negative for p > 1.
+
+    log a = s comes from MeanSpec.log_ratios, and log(a / a^p) = s (1 - p)
+    is one rounding of its exact value, where s - p s would cancel near
+    p = 1. With d its magnitude, 1 - e^(-d) is -expm1(-d): e^(-d) rounded
+    next to 1 would keep few of its digits, or none.
     """
     _require_n2(spec)
     p = float(p)
     x1, x2 = spec.values
     if x1 == x2:
         return 0.0
-    s = log(x1) - log(x2)  # log a
-    t = p * s
-    d = abs(s - t)
+    s = spec.log_ratios[0][1]  # log a
+    g = s * (1.0 - p)  # log(a / a^p)
+    d = abs(g)
     if d == 0.0:
         return 0.0
+    t = p * s
     m = max(s, t)
-    # |a^p (a - a^p)| = exp(t + m) * (1 - exp(-d)), sign follows s - t
-    log_num = t + m + math.log1p(-exp(-d))
+    # |a^p (a - a^p)| = exp(t + m) * (1 - exp(-d)), sign follows g
+    log_num = t + m + log(-math.expm1(-d))
     log_den = 3.0 * (m + log(exp(t - m) + exp(s - m)))
     magnitude = exp(log_num - log_den)
     a_minus_1 = math.expm1(s)
-    return x1 * a_minus_1 * s * s * math.copysign(magnitude, s - t)
+    return x1 * a_minus_1 * s * s * math.copysign(magnitude, g)
 
 
 # ---------------------------------------------------------------------------

@@ -153,24 +153,50 @@ class TestSecondDerivative:
             assert abs(d2 - oracle) <= max(1e-5 * abs(oracle), 1e-8), (spec.values, p)
 
 
+def _separate_moments_bracket(spec, pm):
+    """The bracket and the largest of its terms from four separately computed
+    log-moments, as mpf objects at the working precision, for the mpf p pm;
+    or None where the bracket is below its noise floor."""
+
+    def moment(q, k):
+        u = [mp.mpf(w) * mp.power(mp.mpf(v), q) for v, w in zip(spec.values, spec.weights)]
+        logs = [mp.log(mp.mpf(v)) for v in spec.values]
+        return mp.fsum(ui * li**k for ui, li in zip(u, logs)) / mp.fsum(u)
+
+    m1p, m1q = moment(pm, 1), moment(pm - 1, 1)
+    m2p, m2q = moment(pm, 2), moment(pm - 1, 2)
+    bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
+    scale = max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
+    if abs(bracket) < mp.mpf(10) ** (8 - mp.mp.dps) * scale:
+        return None
+    return bracket
+
+
 def _separate_moments_l2(spec, p, dps=_EXTENDED_DPS):
     """50-digit L'' from four separately computed log-moments and L, or None
     where the bracket cancels below the working precision."""
     with mp.workdps(dps):
         pm = mp.mpf(p)
+        bracket = _separate_moments_bracket(spec, pm)
+        return None if bracket is None else float(_mp_lehmer(spec, pm) * bracket)
 
-        def moment(q, k):
-            u = [mp.mpf(w) * mp.power(mp.mpf(v), q) for v, w in zip(spec.values, spec.weights)]
-            logs = [mp.log(mp.mpf(v)) for v in spec.values]
-            return mp.fsum(ui * li**k for ui, li in zip(u, logs)) / mp.fsum(u)
 
-        m1p, m1q = moment(pm, 1), moment(pm - 1, 1)
-        m2p, m2q = moment(pm, 2), moment(pm - 1, 2)
-        bracket = m2p - m2q - 2 * m1q * (m1p - m1q)
-        scale = max(abs(m2p), abs(m2q), abs(2 * m1q * m1p), abs(2 * m1q * m1q))
-        if abs(bracket) < mp.mpf(10) ** (8 - dps) * scale:
-            return None
-        return float(_mp_lehmer(spec, pm) * bracket)
+def _ref_sign_precisions(spec, p):
+    """The digits _mp_sign takes the bracket at: 50, then 50 more than the
+    decades its terms spread over."""
+    l, lw = spec.log_values, spec.log_weights
+    spread = max(abs(p), abs(p - 1.0)) * (max(l) - min(l)) + (max(lw) - min(lw))
+    return (_EXTENDED_DPS, _EXTENDED_DPS + math.ceil(spread / math.log(10.0)))
+
+
+def _ref_mp_sign(spec, p):
+    """_mp_sign from mpf objects: (sign, the digits that decided it or None)."""
+    for dps in _ref_sign_precisions(spec, p):
+        with mp.workdps(dps):
+            bracket = _separate_moments_bracket(spec, mp.mpf(p))
+            if bracket is not None:
+                return int(mp.sign(bracket)), dps
+    return 0, None
 
 
 def _hex(value):
@@ -216,7 +242,9 @@ def _ref_pairwise_second_derivative(spec, p):
                 if k not in (i, j):
                     terms += [v[k] * r[i][k], v[k] * r[j][k]]
                     rounding += v[k] * ulps[k] * (abs(r[i][k]) + abs(r[j][k]))
-            own = abs(r[i][j]) * (abs(diff) * (ulps[big] + 1.0) + v[small] * (abs(qr) + abs(lw[i]) + abs(lw[j])))
+            # the gap carries the rounding of log w_i and log w_j, unless they are equal and cancel
+            gap_ulps = abs(qr) + abs(lw[i]) + abs(lw[j]) if spec.weights[i] != spec.weights[j] else abs(qr)
+            own = abs(r[i][j]) * (abs(diff) * (ulps[big] + 1.0) + v[small] * gap_ulps)
             sums.append(math.fsum(terms))
             sizes.append(own + rounding)
             ts.append(b[i] + b[j] + (math.log(abs(x[i] - x[j])) + math.log(abs(r[i][j]))))
@@ -243,6 +271,40 @@ class TestExtendedBracket:
                 assert _hex(_second_derivative_mp(spec, p)) == _hex(_separate_moments_l2(spec, p)), (spec, p)
                 checked += 1
         assert checked == 200
+
+    def test_integer_and_half_integer_exponents(self, rng, random_spec):
+        # mpmath's power takes its own path there, not exp(p log x)
+        specs = [make_spec(v) for v in ([0.5, 2.5], [1.0, 2.0, 3.0], [1.0259, 1.0241, 1.0244, 0.96], [1e-5, 1e5])]
+        specs += [random_spec(rng, n=n, weighted=True) for n in range(2, 7)]
+        exponents = (-40.0, -7.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 13.0, 39.5, 600.5, -1000.0)
+        undecided = 0
+        for spec in specs:
+            for p in exponents:
+                for dps in (_EXTENDED_DPS, 80):
+                    got = _second_derivative_mp(spec, p, dps)
+                    assert _hex(got) == _hex(_separate_moments_l2(spec, p, dps)), (spec, p, dps)
+                    undecided += got is None
+        assert undecided < len(specs) * len(exponents)
+
+    def test_sign_at_the_retry_precision(self):
+        # the terms of these spread over more than 50 decades at most of the
+        # exponents: the 50-digit bracket is noise, and the retry decides
+        specs = [
+            make_spec([1e-5, 1e5]),
+            make_spec([1e-5, 1.0, 1e5], [2.0, 1.0, 0.5]),
+            make_spec([0.1, 10.0], [1.0, 3.0]),
+            make_spec([0.5, 2.5]),
+        ]
+        retried = 0
+        for spec in specs:
+            for p in (-40.0, -25.5, -12.0, -3.25, 0.3, 1.0, 2.7, 7.5, 13.0, 20.0, 40.0, 17.123):
+                sign, dps = _ref_mp_sign(spec, p)
+                assert calculus._mp_sign(spec, p) == sign, (spec, p)
+                if dps is not None and dps > _EXTENDED_DPS:
+                    retried += 1
+                    # the bracket itself, and L, at the retry precision
+                    assert _hex(_second_derivative_mp(spec, p, dps)) == _hex(_separate_moments_l2(spec, p, dps)), (spec, p)
+        assert retried >= 15, retried
 
 
 # Separate-pass reference for the double path: each helper recomputes its
@@ -383,6 +445,24 @@ class TestOnePassDoublePath:
                 checked += 1
         assert checked == 420
 
+    def test_curve_grid_is_bit_identical(self, rng):
+        # the benchmark's curve inputs: its five fixed specs, and weighted
+        # specs of n = 2..6 with values within a factor 1.25 of 1
+        specs = [make_spec(v) for v in ([0.5, 2.5], [1.0, 2.0, 3.0], [1.0259, 1.0241, 1.0244, 0.96])]
+        specs += [make_spec(v) for v in _WIDE_FIXED[1:]]
+        for n in range(2, 7):
+            values = np.exp(rng.uniform(np.log(0.8), np.log(1.25), n)).tolist()
+            specs.append(make_spec(values, rng.uniform(0.5, 2.0, n).tolist()))
+        for spec in specs:
+            for p in _CURVE_GRID:
+                got = [lehmer(spec, p), first_derivative(spec, p)]
+                got += [second_derivative(spec, p, precision) for precision in ("standard", "auto")]
+                got += [log_moment(spec, p, k) for k in (1, 2)]
+                want = [_ref_lehmer(spec, p), _ref_first_derivative(spec, p)]
+                want += [_ref_second_derivative(spec, p, precision) for precision in ("standard", "auto")]
+                want += [_ref_moment(spec, p, k) for k in (1, 2)]
+                assert [x.hex() for x in got] == [x.hex() for x in want], (spec, p)
+
 
 class TestOnePoint:
     """L, L' and L'' at one (spec, p) share one pair of power tables (core._point)."""
@@ -414,6 +494,25 @@ class TestOnePoint:
             # the shared tables cannot be changed by a caller
             for a, _, u, _ in core._point(spec, p)[:2]:
                 assert type(a) is tuple and type(u) is tuple
+
+    @pytest.mark.parametrize("precision", ["standard", "auto", "extended"])
+    def test_one_point_per_second_derivative(self, monkeypatch, precision):
+        # second_derivative hands the point it holds to the double steps
+        calls = []
+        point = core._point
+
+        def counted(spec, p):
+            calls.append(p)
+            return point(spec, p)
+
+        monkeypatch.setattr(calculus, "_point", counted)
+        # a plain bracket, the pairwise form (the bracket cancels), an exact zero
+        for values, p in (([1.0259, 1.0241, 1.0244, 0.96], 0.5), ([1e-5, 1e5], -40.0), ([0.5, 2.5], 1.0)):
+            spec = make_spec(values)
+            lehmer(make_spec([2.0, 3.0]), p)  # another spec in between: a cold slot
+            calls.clear()
+            second_derivative(spec, p, precision)
+            assert calls == [p], (values, p)
 
     @staticmethod
     def _cold(fn, spec, p, *args):
@@ -606,7 +705,7 @@ class TestPairwiseFallback:
                 got = second_derivative(spec, p, precision="extended")
                 want = _mp_moment_second_derivative(spec, p, got)
                 with mp.workdps(_EXTENDED_DPS):
-                    bracket, scale, _ = calculus._mp_curvature(spec, mp.mpf(p))
+                    bracket, scale, _ = map(mp.make_mpf, calculus._mp_curvature(spec, mp.mpf(p)._mpf_))
                     left = abs(bracket) / scale
                 if left < mp.mpf(10) ** (8 - _EXTENDED_DPS):
                     handed_on += 1
@@ -678,7 +777,15 @@ class TestPairwiseFallback:
         # every pairwise term is exactly 0 there, and so is L''(1) by the
         # closed form: each precision gives 0.0, and none takes 50 digits
         # for it but "extended"
-        spec = make_spec(values)
+        self._assert_flat_at_one(make_spec(values), monkeypatch)
+
+    @pytest.mark.parametrize("weight", [2.0, 0.3])
+    def test_an_equal_weight_pair_is_exactly_flat_at_one(self, weight, monkeypatch):
+        # log w_j - log w_i is exactly 0, so the gaps carry no rounding of the weights
+        self._assert_flat_at_one(make_spec([0.5, 2.5], [weight, weight]), monkeypatch)
+
+    @staticmethod
+    def _assert_flat_at_one(spec, monkeypatch):
         assert calculus._pairwise_parts(spec, 1.0)[:2] == (0.0, 0.0)
         assert calculus._double_second_derivative(spec, 1.0) == (0.0, None)
         taken = []
@@ -733,6 +840,11 @@ class TestCachedPowers:
     def _direct(spec, p):
         return [mp.mpf(w) * mp.power(mp.mpf(v), p) for v, w in zip(spec.values, spec.weights)]
 
+    @staticmethod
+    def _terms(spec, p):
+        """_mp_terms at the mpf p, as mpf values."""
+        return [mp.make_mpf(t) for t in _mp_terms(spec, p._mpf_)]
+
     def test_equal_to_mp_power(self, rng):
         spec = make_spec(_values_from_tiny_to_huge(rng), np.exp(rng.uniform(-3.0, 3.0, 8)).tolist())
         # alternate the precision between calls: each call must use the constants of its own
@@ -740,8 +852,8 @@ class TestCachedPowers:
             for dps in (40, 50, 60, 50):
                 with mp.workdps(dps):
                     p = mp.mpf(text)
-                    assert repr(_mp_terms(spec, p)) == repr(self._direct(spec, p)), (text, dps)
-                    assert repr(_mp_terms(spec, p - 1)) == repr(self._direct(spec, p - 1)), (text, dps)
+                    assert repr(self._terms(spec, p)) == repr(self._direct(spec, p)), (text, dps)
+                    assert repr(self._terms(spec, p - 1)) == repr(self._direct(spec, p - 1)), (text, dps)
 
     def test_shared_logs_equal_mp_power_at_the_sign_precisions(self, rng):
         # 50 digits, and the retry precision of _mp_sign for that spec and p
@@ -760,7 +872,7 @@ class TestCachedPowers:
                     with mp.workdps(dps):
                         q = mp.mpf(p)
                         for t in (q, q - 1):
-                            assert repr(_mp_terms(spec, t)) == repr(self._direct(spec, t)), (spec.values, p, dps)
+                            assert repr(self._terms(spec, t)) == repr(self._direct(spec, t)), (spec.values, p, dps)
 
     def test_keyed_on_precision(self):
         spec = make_spec([0.3, 7.0, 1e-300])
@@ -769,10 +881,11 @@ class TestCachedPowers:
             with mp.workdps(dps):
                 const = held.setdefault(dps, _mp_constants(spec))
                 assert _mp_constants(spec) is const
-                _, _, cached_logs, cached_squares, power_logs = const
+                _, cached_weights, cached_logs, cached_squares, power_logs = const
                 logs = [mp.log(mp.mpf(v)) for v in spec.values]
-                assert repr(cached_logs) == repr(tuple(logs)), dps
-                assert repr(cached_squares) == repr(tuple(li**2 for li in logs)), dps
+                assert cached_weights == tuple(mp.mpf(w)._mpf_ for w in spec.weights), dps
+                assert cached_logs == tuple(li._mpf_ for li in logs), dps
+                assert cached_squares == tuple((li**2)._mpf_ for li in logs), dps
                 # the logs mpmath's power takes: 10 more bits, raw
                 prec, rnd = mp.mp._prec_rounding
                 assert power_logs == tuple(mpf_log(mp.mpf(v)._mpf_, prec + 10, rnd) for v in spec.values), dps
@@ -782,12 +895,12 @@ class TestCachedPowers:
         spec = make_spec(_values_from_tiny_to_huge(rng))
         p = mp.mpf("0.37")
         with mp.workdps(50):
-            first = repr(_mp_terms(spec, p)), repr(_mp_lehmer(spec, p))
+            first = repr(self._terms(spec, p)), repr(_mp_lehmer(spec, p))
             held = _mp_constants(spec)
             for _ in range(20):
-                _mp_terms(random_spec(rng), p)
+                _mp_terms(random_spec(rng), p._mpf_)
             assert _mp_constants(spec) is not held
-            assert (repr(_mp_terms(spec, p)), repr(_mp_lehmer(spec, p))) == first
+            assert (repr(self._terms(spec, p)), repr(_mp_lehmer(spec, p))) == first
             assert first[0] == repr(self._direct(spec, p))
 
 
@@ -808,6 +921,27 @@ class TestPairClosedForm:
 
     def test_equal_values_give_zero(self):
         assert second_derivative_n2(make_spec([2.0, 2.0]), 5.0) == 0.0
+
+    def test_near_one(self):
+        # log(a / a^p) is one rounding of s (1 - p), and 1 - e^(-d) is taken
+        # by expm1: e^(-d) rounded next to 1 gave log1p a domain error here
+        spec = make_spec([1.0, 1.001])
+        p = 1.000000000000001
+        want = _second_derivative_mp(spec, p, 80)
+        assert abs(second_derivative_n2(spec, p) - want) <= 1e-13 * abs(want)
+        checked = 0
+        for x in (0.1, 0.37, 1.0, 2.5, 9.99):
+            for gap in (1e-6, 1e-5, 1e-4, 1e-2, 0.3, 3.0):
+                y = x * (1.0 + gap) if x * (1.0 + gap) <= 10.0 else x / (1.0 + gap)
+                for values in ([x, y], [y, x]):
+                    spec = make_spec(values)
+                    for k in range(1, 16):
+                        for p in (1.0 - 10.0**-k, 1.0 + 10.0**-k):
+                            want = _second_derivative_mp(spec, p, 80)
+                            got = second_derivative_n2(spec, p)
+                            assert abs(got - want) <= 1e-13 * abs(want), (values, p, got, want)
+                            checked += 1
+        assert checked == 5 * 6 * 2 * 15 * 2
 
     def test_requires_unweighted_pair(self):
         with pytest.raises(UsageError):

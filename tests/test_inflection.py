@@ -520,7 +520,7 @@ class TestHeavyInstances:
 def _reference_sign(spec, p, dps=60):
     """Sign of L'' from the 60-digit bracket, or None when fewer than 12 digits survive."""
     with mp.workdps(dps):
-        bracket, scale, _ = _mp_curvature(spec, mp.mpf(p))
+        bracket, scale, _ = map(mp.make_mpf, _mp_curvature(spec, mp.mpf(p)._mpf_))
         if abs(bracket) < mp.mpf(10) ** (12 - dps) * scale:
             return None
         return int(mp.sign(bracket))

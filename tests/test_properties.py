@@ -66,6 +66,7 @@ def test_first_derivative_nonnegative(values, p):
     st.floats(min_value=0.1, max_value=10.0),
     p_st,
 )
+@example(1.0, 0.99609375, 0.99999)  # log1p(-exp(-d)) lost digits here
 @settings(max_examples=200, deadline=None)
 def test_pair_closed_form_matches_general(x1, x2, p):
     assume(abs(x1 - x2) > 1e-6 * max(x1, x2))
@@ -131,10 +132,10 @@ def test_weighted_pair_inflection_hits_midpoint(x1, x2, w1, w2):
 @example([0.5, 2.5], [2.0] * 6, 1.0)
 @example([0.5, 2.5, 0.5], None, 1.0)
 @settings(max_examples=300, deadline=None)
-def test_pairwise_size_is_zero_only_for_a_unit_pair_at_one(values, weights, p):
+def test_pairwise_size_is_zero_only_for_an_equal_weight_pair_at_one(values, weights, p):
     # there L''(1) = 0 exactly, and second_derivative gives 0.0 without 50 digits
     spec = make_spec(values, None if weights is None else weights[: len(values)])
     parts = calculus._pairwise_parts(spec, p)
     if parts is not None and parts[1] == 0.0:
-        assert spec.n == 2 and spec.weights == (1.0, 1.0) and p == 1.0, (values, weights, p)
+        assert spec.n == 2 and spec.weights[0] == spec.weights[1] and p == 1.0, (values, weights, p)
         assert spec.values[0] != spec.values[1] and parts[0] == 0.0
