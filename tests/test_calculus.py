@@ -923,8 +923,9 @@ class TestPairClosedForm:
         assert second_derivative_n2(make_spec([2.0, 2.0]), 5.0) == 0.0
 
     def test_near_one(self):
-        # log(a / a^p) is one rounding of s (1 - p), and 1 - e^(-d) is taken
-        # by expm1: e^(-d) rounded next to 1 gave log1p a domain error here
+        # log(a / a^p) must be one rounding of s (1 - p), and 1 - e^(-d) an
+        # expm1: log1p(-e^(-d)) with e^(-d) rounded next to 1 leaves the
+        # domain of log1p at this point
         spec = make_spec([1.0, 1.001])
         p = 1.000000000000001
         want = _second_derivative_mp(spec, p, 80)
