@@ -197,8 +197,7 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
                     floor; else 0.0 (default)
     """
     p = float(p)
-    if precision not in _PRECISIONS:
-        _check_precision(precision)
+    _check_precision(precision)
     point = _point(spec, p)  # DomainError for a non-finite p, in every precision
     if spec.is_constant:
         return 0.0
@@ -222,7 +221,7 @@ def _fifty_digit_second_derivative(spec: MeanSpec, p: float) -> float:
     return 0.0 if value is None else value
 
 
-def _double_second_derivative(spec: MeanSpec, p: float, point: tuple | None = None) -> tuple[float, float | None]:
+def _double_second_derivative(spec: MeanSpec, p: float, point: tuple) -> tuple[float, float | None]:
     """(L''(p) as "standard" gives it, None) where the double bracket or the
     pairwise form keeps ten decimal digits, and (0.0, None) where every
     pairwise term is exactly 0; else (L * bracket, a bound on |L''(p)|),
@@ -231,9 +230,9 @@ def _double_second_derivative(spec: MeanSpec, p: float, point: tuple | None = No
     The bound is the pairwise form's |sum| plus 1e-10 of its size, in the
     form's own scale: far above the rounding its terms can carry. It is inf
     where the form has no pairs or its scale leaves the double range.
-    point is _point(spec, p) where the caller holds it already.
+    point is _point(spec, p), which the caller holds already.
     """
-    (_, _, up, sp), (_, _, uq, sq), mean = _point(spec, p) if point is None else point
+    (_, _, up, sp), (_, _, uq, sq), mean = point
     l1, l2 = spec.log_powers
     m1p = fsum(map(mul, up, l1)) / sp
     m1q = fsum(map(mul, uq, l1)) / sq
@@ -315,12 +314,9 @@ def _pairwise_parts(spec: MeanSpec, p: float) -> tuple[float, float, float, floa
         diff = math.copysign(v[big] * math.expm1(-abs(gap)), gap)  # v_j - v_i
         gap_ulps = abs(qr) + abs(lw[i]) + abs(lw[j]) if w[i] != w[j] else abs(qr)
         size = abs(ri[j]) * (abs(diff) * (ulps[big] + 1.0) + v[small] * gap_ulps)
-        if n == 2:
-            sums.append(ri[j] * diff)
-        else:
-            others = [k for k in range(n) if k != i and k != j]
-            sums.append(fsum([ri[j] * diff] + [v[k] * ri[k] for k in others] + [v[k] * rj[k] for k in others]))
-            size += sum([v[k] * ulps[k] * (abs(ri[k]) + abs(rj[k])) for k in others])
+        others = [k for k in range(n) if k != i and k != j]
+        sums.append(fsum([ri[j] * diff] + [v[k] * ri[k] for k in others] + [v[k] * rj[k] for k in others]))
+        size += sum([v[k] * ulps[k] * (abs(ri[k]) + abs(rj[k])) for k in others])
         sizes.append(size)
         ts.append(exps[i] + exps[j] + lr)
     t_max = max(ts)

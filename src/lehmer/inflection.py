@@ -71,7 +71,7 @@ from .calculus import (
     k_constant,
     second_derivative,
 )
-from .core import MeanSpec, merge_equal_values
+from .core import MeanSpec, _point, merge_equal_values
 from .core import _lehmer_value, asymptotes  # noqa: F401  -- perfbench/spans.py traces these names here
 from .errors import DegenerateError, NoInflectionError, RangeExhaustedError, UsageError
 
@@ -1075,7 +1075,7 @@ def _report(
                 p_star = better
             residual = functools.partial(_residual, spec, p_star, precision)
         else:
-            value, bound = _double_second_derivative(spec, p_star)
+            value, bound = _double_second_derivative(spec, p_star, _point(spec, p_star))
             if bound is None or precision == "standard":
                 residual = abs(value)
             elif bound < math.inf and not _above_scale(_DEFER_MARGIN * bound, br.local_log_scale):

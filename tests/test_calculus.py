@@ -787,7 +787,7 @@ class TestPairwiseFallback:
     @staticmethod
     def _assert_flat_at_one(spec, monkeypatch):
         assert calculus._pairwise_parts(spec, 1.0)[:2] == (0.0, 0.0)
-        assert calculus._double_second_derivative(spec, 1.0) == (0.0, None)
+        assert calculus._double_second_derivative(spec, 1.0, core._point(spec, 1.0)) == (0.0, None)
         taken = []
         mp_path = calculus._second_derivative_mp
 

@@ -29,6 +29,7 @@ from lehmer import (
     weighted_n2_inflection,
 )
 from lehmer.calculus import _double_second_derivative, _mp_curvature, _second_derivative_mp
+from lehmer.core import _point
 from lehmer import calculus, inflection
 from lehmer.inflection import (
     _DEFER_MARGIN,
@@ -958,7 +959,8 @@ class TestDeferredResidual:
         spec = make_spec([1.0, 2.0, 3.0])
         batch, [br], owner = TestPredictedBisection._brackets([spec])
         mids = _bisect_all(batch, [br], _REFINE_TOLERANCE, owner)
-        value, bound = _double_second_derivative(spec, float(mids[0]))
+        p_star = float(mids[0])
+        value, bound = _double_second_derivative(spec, p_star, _point(spec, p_star))
         assert 0.0 < bound < math.inf
         limit = math.log(_DEFER_MARGIN * bound / _ESCALATION_FACTOR)
         # at -200 the 50-digit residual, 2.0e-11, is above the threshold: the
