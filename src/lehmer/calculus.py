@@ -93,8 +93,8 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .core import MeanSpec, _lehmer_value, _point, _powers
-from .errors import UsageError
+from .core import MeanSpec, _exponent, _lehmer_value, _point, _powers  # noqa: F401  -- tests patch _powers here
+from .errors import DomainError, UsageError
 
 
 __all__ = [
@@ -121,19 +121,32 @@ _U = 2.0**-53  # unit roundoff of doubles
 # log-moments
 
 
-def _table_moment(spec: MeanSpec, table: tuple, k: int) -> float:
-    """m_k at the exponent of table = _powers(spec, p), for k = 1 or 2."""
-    return fsum(map(mul, table[2], spec.log_powers[k - 1])) / table[3]
+def _moments(spec: MeanSpec, entry: list) -> tuple[float, float]:
+    """(m_1, m_2) of a map entry [table, moments] of core._point, computed
+    once per entry. They are stored by assigning one tuple, so two threads
+    that compute them at once store equal values and a reader never sees
+    half of them."""
+    _, _, u, s = entry[0]
+    l1, l2 = spec.log_powers
+    entry[1] = moments = (fsum(map(mul, u, l1)) / s, fsum(map(mul, u, l2)) / s)
+    return moments
 
 
 def log_moment(spec: MeanSpec, p: float, k: int) -> float:
     """m_k(p), the average of (log x_i)^k under the weights w_i x_i^p.
 
-    k must be 0, 1, or 2. m_0 is exactly 1.
+    k must be 0, 1, or 2. m_0 is exactly 1. Raises DomainError for a
+    non-finite p, for every k, as L, L' and L'' do.
     """
     if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= 2:
         raise UsageError(f"moment order must be an integer in 0..2, got {k!r}")
-    return 1.0 if k == 0 else _table_moment(spec, _powers(spec, float(p)), k)
+    p = float(p)
+    if not math.isfinite(p):
+        raise DomainError(f"exponent must be finite, got {p!r}")
+    if k == 0:
+        return 1.0
+    entry = _exponent(spec, p)
+    return (entry[1] or _moments(spec, entry))[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +166,7 @@ def first_derivative(spec: MeanSpec, p: float) -> float:
     from MeanSpec.log_ratios, so values a few ulps apart keep their digits.
     """
     p = float(p)
-    (a_p, top_p, _, su), (a_q, top_q, _, sv), value = _point(spec, p)
+    (a_p, top_p, _, su), (a_q, top_q, _, sv), value, _, _ = _point(spec, p)
     if spec.is_constant:
         return 0.0
     q = p - 1.0
@@ -232,12 +245,9 @@ def _double_second_derivative(spec: MeanSpec, p: float, point: tuple) -> tuple[f
     where the form has no pairs or its scale leaves the double range.
     point is _point(spec, p), which the caller holds already.
     """
-    (_, _, up, sp), (_, _, uq, sq), mean = point
-    l1, l2 = spec.log_powers
-    m1p = fsum(map(mul, up, l1)) / sp
-    m1q = fsum(map(mul, uq, l1)) / sq
-    m2p = fsum(map(mul, up, l2)) / sp
-    m2q = fsum(map(mul, uq, l2)) / sq
+    _, _, mean, ep, eq = point
+    m1p, m2p = ep[1] or _moments(spec, ep)
+    m1q, m2q = eq[1] or _moments(spec, eq)
     terms = (m2p, -m2q, -2.0 * m1q * m1p, 2.0 * m1q * m1q)
     bracket = fsum(terms)
     scale = max(map(abs, terms))

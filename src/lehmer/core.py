@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import exp, fsum, isfinite
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvalidSpecError
@@ -84,6 +85,11 @@ class MeanSpec:
     @cached_property
     def log_weights(self) -> tuple[float, ...]:
         return tuple(math.log(w) for w in self.weights)
+
+    @cached_property
+    def log_terms(self) -> tuple[tuple[float, float], ...]:
+        """(log w_i, log x_i) for each i: what _powers reads for each term."""
+        return tuple(zip(self.log_weights, self.log_values))
 
     @cached_property
     def log_ratios(self) -> tuple[tuple[float, ...], ...]:
@@ -184,30 +190,78 @@ def lehmer(spec: MeanSpec, p: float) -> float:
     return _point(spec, float(p))[2]
 
 
-# (spec, p, (tp, tq, L)) of the last point evaluated; see _point
-_last_point: tuple = (None, None, None)
+# the most exponents whose tables _held keeps for one spec; see _point
+_MAX_TABLES = 64
+
+# (spec, p, the point at p, {exponent: [table, moments]}) of the spec in use; see _point
+_held: tuple = (None, None, None, {})
 
 
-def _point(spec: MeanSpec, p: float) -> tuple[tuple, tuple, float]:
-    """(tp, tq, L) at one evaluation point: _powers(spec, p), _powers(spec, p - 1.0)
-    and L(p). Raises DomainError for non-finite p.
+def _point(spec: MeanSpec, p: float) -> tuple[tuple, tuple, float, list, list]:
+    """(tp, tq, L, ep, eq) at one evaluation point: tp = _powers(spec, p),
+    tq = _powers(spec, p - 1.0), L(p), and the map entries [table, moments]
+    of p and p - 1. Raises DomainError for non-finite p.
 
-    L, L' and L'' asked at the same point read the same two tables. The last
-    point is kept in one slot, replaced as a single tuple so that a thread
-    never reads one point's tables with another's key; it hits only for the
-    same spec object and an equal p. The tables of 0.0 and -0.0 are the same.
+    Each exponent's table is built once while one spec is in use: a map from
+    exponent to [table, moments] is kept for the spec last evaluated, so
+    that on a grid of step 1/k the table of p - 1 is the one built k points
+    earlier (where p - 1.0 equals that point exactly), and L, L' and L''
+    asked at the same point read the same two tables. moments is None until calculus first needs m_1 and m_2 of that
+    table, and then holds them as one tuple. The map, with the last point,
+    is one slot, replaced as a single tuple when a different spec object is
+    evaluated, so nothing carries over from one spec to the next and a
+    thread never reads one spec's tables with another's key. It holds at
+    most _MAX_TABLES exponents; past that the older half is dropped, oldest
+    first. Threads that share a spec share its map: each step on it is one
+    dict or list operation, and two threads that build the same table or
+    moments store equal values. The tables of 0.0 and -0.0 are the same.
     """
-    global _last_point
-    if not math.isfinite(p):
+    global _held
+    if not isfinite(p):
         raise DomainError(f"exponent must be finite, got {p!r}")
-    last_spec, last_p, record = _last_point
-    if spec is last_spec and p == last_p:
+    held_spec, held_p, record, tables = _held
+    if spec is not held_spec:
+        tables = {}
+    elif p == held_p:
         return record
-    tp = _powers(spec, p)
-    tq = _powers(spec, p - 1.0)
-    record = (tp, tq, _lehmer_value(spec, p, tp, tq))
-    _last_point = (spec, p, record)
+    q = p - 1.0
+    ep = tables.get(p)
+    if ep is None:
+        ep = tables[p] = [_powers(spec, p), None]
+    eq = tables.get(q)
+    if eq is None:
+        eq = tables[q] = [_powers(spec, q), None]
+    if len(tables) > _MAX_TABLES:
+        _drop_older_half(tables)
+    tp = ep[0]
+    tq = eq[0]
+    record = (tp, tq, _lehmer_value(spec, p, tp, tq), ep, eq)
+    _held = (spec, p, record, tables)
     return record
+
+
+def _exponent(spec: MeanSpec, e: float) -> list:
+    """The map entry [table, moments] of a finite exponent e, through the
+    slot of _point: the table is built only if the spec in use lacks it."""
+    global _held
+    held_spec, _, _, tables = _held
+    if spec is not held_spec:
+        tables = {}
+        _held = (spec, None, None, tables)
+    entry = tables.get(e)
+    if entry is None:
+        entry = tables[e] = [_powers(spec, e), None]
+        if len(tables) > _MAX_TABLES:
+            _drop_older_half(tables)
+    return entry
+
+
+def _drop_older_half(tables: dict) -> None:
+    """Drop the oldest _MAX_TABLES // 2 exponents of the map. A snapshot of
+    the keys, then one pop per key: another thread's insert or drop in
+    between breaks neither step."""
+    for old in list(tables)[: _MAX_TABLES // 2]:
+        tables.pop(old, None)
 
 
 def _powers(spec: MeanSpec, p: float) -> tuple[tuple[float, ...], int, tuple[float, ...], float]:
@@ -218,12 +272,12 @@ def _powers(spec: MeanSpec, p: float) -> tuple[tuple[float, ...], int, tuple[flo
     L, the log-moments and both derivatives are all read from the tables of
     p and p - 1 (see _point). A plain tuple: building a named one twice per
     call would cost L more than sharing the table saves. Its fields are
-    tuples too, since the tables of a point are shared by every caller.
+    tuples too, since a table is shared by every caller that holds it.
     """
-    a = tuple([lwi + p * li for lwi, li in zip(spec.log_weights, spec.log_values)])
+    a = tuple([lwi + p * li for lwi, li in spec.log_terms])
     shift = max(a)
-    u = tuple([math.exp(ai - shift) for ai in a])
-    return a, a.index(shift), u, math.fsum(u)
+    u = tuple([exp(ai - shift) for ai in a])
+    return a, a.index(shift), u, fsum(u)
 
 
 def _lehmer_value(spec: MeanSpec, p: float, num: tuple | None = None, den: tuple | None = None) -> float:
@@ -231,26 +285,26 @@ def _lehmer_value(spec: MeanSpec, p: float, num: tuple | None = None, den: tuple
     lo, hi = spec.bounds
     if lo == hi:
         return lo
-    l = spec.log_values
-    lw = spec.log_weights
     num_a, ia, _, sa = _powers(spec, p) if num is None else num
     # the largest term adds exp(0) = 1 and none is negative, so sb >= 1
     den_a, ib, _, sb = _powers(spec, p - 1.0) if den is None else den
-    if ia == ib and sa == 1.0 and sb == 1.0:
-        # one value dominates both sums: the mean is that value to the last ulp
-        return spec.values[ia]
     if ia == ib:
+        if sa == 1.0 and sb == 1.0:
+            # one value dominates both sums: the mean is that value to the last ulp
+            return spec.values[ia]
         # the weight and p-scaled log cancel algebraically
-        shift = l[ia]
-    elif max(abs(num_a[ia]), abs(den_a[ib])) < 1e3:
+        shift = spec.log_values[ia]
+    elif abs(num_a[ia]) < 1e3 and abs(den_a[ib]) < 1e3:
         shift = num_a[ia] - den_a[ib]
     else:
         # num_a[ia] - den_a[ib] would cancel two O(|p|) numbers and lose absolute
         # accuracy; in this branch each addend is bounded by the log spreads
+        l, lw = spec.log_values, spec.log_weights
         shift = (lw[ia] - lw[ib]) + p * (l[ia] - l[ib]) + l[ib]
     # shift lies in [log lo, log hi], so this exp cannot overflow
-    value = math.exp(shift) * (sa / sb)
-    return min(max(value, lo), hi)
+    value = exp(shift) * (sa / sb)
+    # min(max(value, lo), hi) without the two calls
+    return lo if value < lo else hi if value > hi else value
 
 
 def asymptotes(spec: MeanSpec) -> Asymptotes:

@@ -27,7 +27,7 @@ from lehmer import (
     tilde_l,
     tilde_l_prime,
 )
-from lehmer import calculus, core
+from lehmer import calculus, cli, core
 from lehmer.calculus import (
     _CANCELLATION_LIMIT,
     _EXTENDED_DPS,
@@ -465,7 +465,9 @@ class TestOnePassDoublePath:
 
 
 class TestOnePoint:
-    """L, L' and L'' at one (spec, p) share one pair of power tables (core._point)."""
+    """L, L' and L'' at one (spec, p) share one pair of power tables, and each
+    exponent's table and moments are built once while one spec is in use
+    (core._point)."""
 
     CALLS = {
         "L": lehmer,
@@ -541,6 +543,32 @@ class TestOnePoint:
                     assert warm == cold, (spec, p, precision)
                     checked += 1
         assert checked == 64 * 6 * 3
+        # grids walked up, down and shuffled, so that the table of p - 1 and
+        # its moments come from an earlier point, a later one or neither
+        grid = [-12.0 + 0.5 * k for k in range(49)]
+        walks = (grid, grid[::-1], [grid[k] for k in rng.permutation(len(grid))])
+        for spec in specs[::6]:
+            for precision in ("auto", "standard", "extended"):
+                cold = {p: self._values(spec, p, precision, cold=True) for p in grid}
+                for walk in walks:
+                    lehmer(make_spec([2.0, 3.0]), 0.25)
+                    for p in walk:
+                        assert self._values(spec, p, precision) == cold[p], (spec, p, precision)
+                        checked += 1
+        assert checked == 64 * 6 * 3 + 11 * 3 * 3 * 49
+
+    def _values(self, spec, p, precision, cold=False):
+        def call(fn, *args):
+            return self._cold(fn, spec, *args) if cold else fn(spec, *args).hex()
+
+        return (
+            call(lehmer, p),
+            call(first_derivative, p),
+            call(second_derivative, p, precision),
+            call(log_moment, p, 1),
+            call(log_moment, p - 1.0, 2),
+            call(lehmer, p),
+        )
 
     def test_threads_get_the_sequential_values(self):
         # more threads than cores, each on its own spec, switching every microsecond
@@ -577,6 +605,125 @@ class TestOnePoint:
         for k in range(len(specs)):
             assert results[k] == [sequential[k]] * 30, specs[k]
 
+    def test_two_threads_share_a_spec_on_one_grid(self):
+        # both threads walk the same grid of the same spec at once, so each
+        # reads tables and moments that the other is building; they switch
+        # specs together, and a thread that switches first resets the slot
+        specs = [make_spec([1.0259, 1.0241, 1.0244, 0.96], [1.0, 2.0, 0.5, 1.5]), make_spec([0.5, 2.5], [1.0, 3.0])]
+
+        def values(spec, p):
+            calls = (lehmer(spec, p), first_derivative(spec, p), second_derivative(spec, p), log_moment(spec, p - 1.0, 2))
+            return [x.hex() for x in calls]
+
+        sequential = {(k, p): values(spec, p) for k, spec in enumerate(specs) for p in _CURVE_GRID}
+        results = [[], []]
+        start = threading.Barrier(2)
+
+        def run(t):
+            start.wait()
+            for _ in range(30):
+                for k, spec in enumerate(specs):
+                    results[t].extend(((k, p), values(spec, p)) for p in _CURVE_GRID)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for t in range(2):
+            assert len(results[t]) == 30 * 2 * 161
+            for key, got in results[t]:
+                assert got == sequential[key], key
+
+    @staticmethod
+    def _count_tables(monkeypatch):
+        """The exponent of each table built from here on, in order."""
+        calls = []
+        powers = core._powers
+
+        def counted(spec, p):
+            calls.append(p)
+            return powers(spec, p)
+
+        monkeypatch.setattr(core, "_powers", counted)
+        lehmer(make_spec([2.0, 3.0]), 0.25)  # another spec in between: a cold slot
+        calls.clear()
+        return calls
+
+    def test_one_table_per_exponent_on_the_curve_grid(self, monkeypatch):
+        spec = make_spec([1.0259, 1.0241, 1.0244, 0.96], [1.0, 2.0, 0.5, 1.5])
+        calls = self._count_tables(monkeypatch)
+        for p in _CURVE_GRID:
+            lehmer(spec, p), first_derivative(spec, p), second_derivative(spec, p)
+        # -41 ... 40 in steps of 0.5
+        assert len(calls) == len(set(calls)) == 163
+
+    def test_p_minus_one_from_an_earlier_point(self, monkeypatch):
+        # figure 1's grid: 0.05 is not exact in binary, so p - 1.0 is an
+        # earlier grid point exactly at only some points; there one table is built
+        values, p_range = cli._FIGURES[1]
+        spec = make_spec(values)
+        calls = self._count_tables(monkeypatch)
+        built, seen = [], set()
+        for p in cli._range_points(*p_range):
+            calls.clear()
+            lehmer(spec, p), second_derivative(spec, p)
+            built.append(len(calls))
+            assert len(calls) == (1 if p - 1.0 in seen else 2), p
+            seen.add(p)
+        assert len(built) == 181 and built[:20] == [2] * 20
+        assert built[20:].count(1) == 132
+
+    def test_bounded_on_a_long_grid(self):
+        values, p_range = cli._FIGURES[3]
+        spec = make_spec(values)
+        grid = cli._range_points(*p_range)
+        sizes = []
+        # up the grid (one new table per point), then shuffled (two per point)
+        for p in grid + [grid[k] + 0.5 for k in np.random.default_rng(3).permutation(len(grid))]:
+            lehmer(spec, p), second_derivative(spec, p)
+            sizes.append(len(core._held[3]))
+        assert len(sizes) == 2 * 3001 and max(sizes) == core._MAX_TABLES
+
+    def test_moments_once_per_exponent(self, monkeypatch):
+        made = []
+        moments = calculus._moments
+
+        def counted(spec, entry):
+            made.append(entry[0][0])  # the exponent's a_i
+            return moments(spec, entry)
+
+        monkeypatch.setattr(calculus, "_moments", counted)
+        spec = make_spec([1.0259, 1.0241, 1.0244, 0.96], [1.0, 2.0, 0.5, 1.5])
+        lehmer(make_spec([2.0, 3.0]), 0.25)
+        for p in _CURVE_GRID:
+            lehmer(spec, p)
+        assert made == []
+        for p in _CURVE_GRID:
+            lehmer(spec, p), first_derivative(spec, p), second_derivative(spec, p)
+            log_moment(spec, p, 1), log_moment(spec, p - 1.0, 2)
+        assert len(made) == len(set(made)) == 163
+
+    def test_log_moment_reads_the_held_tables(self, monkeypatch):
+        spec = make_spec([1.0259, 1.0241, 1.0244, 0.96], [1.0, 2.0, 0.5, 1.5])
+        calls = self._count_tables(monkeypatch)
+        second_derivative(spec, 2.5)
+        assert sorted(calls) == [1.5, 2.5]
+        for p, k in ((2.5, 1), (1.5, 2), (2.5, 2), (11.0, 0)):
+            log_moment(spec, p, k)
+        assert sorted(calls) == [1.5, 2.5]
+        log_moment(spec, 7.0, 1), log_moment(spec, 7.0, 2), lehmer(spec, 8.0)
+        assert sorted(calls) == [1.5, 2.5, 7.0, 8.0]
+        other = make_spec([1.0, 2.0, 3.0])
+        log_moment(other, 2.5, 2)  # another spec: its own tables
+        assert sorted(calls) == [1.5, 2.5, 2.5, 7.0, 8.0]
+
 
 class TestNonFiniteExponent:
     """Every public call at one point rejects a non-finite p, as lehmer does."""
@@ -589,6 +736,7 @@ class TestNonFiniteExponent:
             lambda s, p, precision=precision: second_derivative(s, p, precision)
             for precision in ("standard", "extended", "auto")
         ]
+        calls += [lambda s, p, k=k: log_moment(s, p, k) for k in (0, 1, 2)]
         for fn in calls:
             with pytest.raises(DomainError):
                 fn(spec, p)
