@@ -37,11 +37,15 @@ pairwise terms are kept per spec (MeanSpec.pair_table) and shared with L'.
 Each exponent gets one table of powers (core._powers: the shifted terms
 w_i x_i^p, their largest and their exact sum). An evaluation point
 (core._point) is the tables of p and p-1 together with L(p); they serve
-L, m_1, m_2, L' and L'' alike, and the last point is kept, so that L, L'
-and L'' asked at the same (spec, p) build the two tables once;
-second_derivative hands the point it holds on to the double steps. The
-moments read the squared logs from MeanSpec.log_powers, each one fsum of
-the products u_i (log x_i)^k. The 50-digit path likewise
+L, m_1, m_2, L' and L'' alike. While one spec is evaluated, core keeps the
+tables of its last 64 or fewer exponents, each with its moments, so L, L'
+and L'' asked at the same (spec, p) build the two tables once, and on a
+grid whose step divides 1 the table of p-1 is an earlier point's.
+second_derivative hands the point it holds on to the double steps. m_1
+and m_2 of a table are computed together, once, when L'' or log_moment
+first needs them (_moments), and read the squared logs from
+MeanSpec.log_powers, each one fsum of the products u_i (log x_i)^k. The
+50-digit path likewise
 computes the powers w_i x_i^p and w_i x_i^(p-1) once per call and shares
 them among the four moments and L; the values, weights, logs and squared
 logs it needs at the working precision are kept for the last few specs, so

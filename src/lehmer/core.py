@@ -9,6 +9,16 @@ their maximum term so that exponents p of magnitude ~1e4 and values spanning
 ten orders of magnitude neither overflow nor underflow. L is monotone
 increasing in p, bounded by min(x) and max(x), and tends to those bounds as
 p goes to -inf and +inf respectively.
+
+Each sum is read from a table of shifted powers for one exponent (_powers).
+While one spec is evaluated, the tables of its last 64 or fewer exponents
+are kept in a map with the last point (_point), so a grid of p whose step
+divides 1 builds one table per point: the table of p - 1 is an earlier
+point's. The map is one module-level slot, replaced as a single tuple and
+reset when another spec object is evaluated; past 64 exponents its older
+half is dropped. Threads may share it: a table or a pair of log-moments is
+stored by one assignment, and two threads that build the same one store
+equal values.
 """
 
 from __future__ import annotations
@@ -206,15 +216,16 @@ def _point(spec: MeanSpec, p: float) -> tuple[tuple, tuple, float, list, list]:
     exponent to [table, moments] is kept for the spec last evaluated, so
     that on a grid of step 1/k the table of p - 1 is the one built k points
     earlier (where p - 1.0 equals that point exactly), and L, L' and L''
-    asked at the same point read the same two tables. moments is None until calculus first needs m_1 and m_2 of that
-    table, and then holds them as one tuple. The map, with the last point,
-    is one slot, replaced as a single tuple when a different spec object is
-    evaluated, so nothing carries over from one spec to the next and a
-    thread never reads one spec's tables with another's key. It holds at
-    most _MAX_TABLES exponents; past that the older half is dropped, oldest
-    first. Threads that share a spec share its map: each step on it is one
-    dict or list operation, and two threads that build the same table or
-    moments store equal values. The tables of 0.0 and -0.0 are the same.
+    asked at the same point read the same two tables. moments is None until
+    calculus first needs m_1 and m_2 of that table, and then holds them as
+    one tuple. The map, with the last point, is one slot, replaced as a
+    single tuple when a different spec object is evaluated, so nothing
+    carries over from one spec to the next and a thread never reads one
+    spec's tables with another's key. It holds at most _MAX_TABLES
+    exponents; past that the older half is dropped, oldest first. Threads
+    that share a spec share its map: each step on it is one dict or list
+    operation, and two threads that build the same table or moments store
+    equal values. The tables of 0.0 and -0.0 are the same.
     """
     global _held
     if not isfinite(p):

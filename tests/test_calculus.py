@@ -585,23 +585,11 @@ class TestOnePoint:
 
         sequential = [curve(spec) for spec in specs]
         results = [None] * len(specs)
-        start = threading.Barrier(len(specs))
 
         def run(k):
-            start.wait()
             results[k] = [curve(specs[k]) for _ in range(30)]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        self._in_threads(run, len(specs))
         for k in range(len(specs)):
             assert results[k] == [sequential[k]] * 30, specs[k]
 
@@ -612,23 +600,37 @@ class TestOnePoint:
         specs = [make_spec([1.0259, 1.0241, 1.0244, 0.96], [1.0, 2.0, 0.5, 1.5]), make_spec([0.5, 2.5], [1.0, 3.0])]
 
         def values(spec, p):
-            calls = (lehmer(spec, p), first_derivative(spec, p), second_derivative(spec, p), log_moment(spec, p - 1.0, 2))
-            return [x.hex() for x in calls]
+            got = (lehmer(spec, p), first_derivative(spec, p), second_derivative(spec, p), log_moment(spec, p - 1.0, 2))
+            return [x.hex() for x in got]
 
         sequential = {(k, p): values(spec, p) for k, spec in enumerate(specs) for p in _CURVE_GRID}
         results = [[], []]
-        start = threading.Barrier(2)
 
         def run(t):
-            start.wait()
             for _ in range(30):
                 for k, spec in enumerate(specs):
                     results[t].extend(((k, p), values(spec, p)) for p in _CURVE_GRID)
 
+        self._in_threads(run, 2)
+        for t in range(2):
+            assert len(results[t]) == 30 * 2 * 161
+            for key, got in results[t]:
+                assert got == sequential[key], key
+
+    @staticmethod
+    def _in_threads(run, count):
+        """run(k) for k < count in as many threads, started together and
+        switching every microsecond."""
+        start = threading.Barrier(count)
+
+        def started(k):
+            start.wait()
+            run(k)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+            threads = [threading.Thread(target=started, args=(k,)) for k in range(count)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -636,10 +638,6 @@ class TestOnePoint:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for t in range(2):
-            assert len(results[t]) == 30 * 2 * 161
-            for key, got in results[t]:
-                assert got == sequential[key], key
 
     @staticmethod
     def _count_tables(monkeypatch):
