@@ -290,7 +290,7 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--spread", type=float, default=0.002, help="cluster spread")
     p_search.add_argument("--outlier-lo", type=float, default=0.9)
     p_search.add_argument("--outlier-hi", type=float, default=0.99)
-    p_search.add_argument("--pin", metavar="LIST", help="skip sampling and scan exactly these values")
+    p_search.add_argument("--pin", metavar="LIST", help="skip sampling and scan exactly these values, with unit weights")
     p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser("verify", parents=[common, seeded], help="run randomized property checks")
@@ -438,7 +438,9 @@ def cmd_search(args) -> int:
         distribution = LogUniform(args.lo, args.hi)
     pinned = None
     if args.pin:
-        pinned_values, _ = _parse_values(args.pin)
+        pinned_values, file_weights = _parse_values(args.pin)
+        if file_weights is not None:
+            raise UsageError("--pin takes values only; the value file gives weights, which search does not scan")
         pinned = tuple(pinned_values)
     trials_run = 1 if pinned is not None else args.trials
     config = SearchConfig(

@@ -9,14 +9,14 @@ that window that provably hold no zero of L'', coarse cells first; evaluate
 L'' only at the ends of the cells that remain and at a halo of two grid
 points on either side of them, which gives the flanks of exact zeros and
 the local scale of each bracket; bracket every sign change between the ends
-of a remaining cell; split the remaining cells without one at dyadic
-midpoints, again clearing what can be cleared; and refine all brackets by
-bisection in about two kernel calls (see _bisect_all): the first gives the
-signs at the next six levels of midpoints of every open bracket, each
-bracket takes up to six steps from them, and the signs and magnitudes
-there predict its root; the second evaluates, per level down to the
-tolerance, the midpoint bisection takes toward that prediction and that of
-the other half. A walk that leaves the path takes six levels again. The
+of a remaining cell; halve the remaining cells without one at dyadic
+midpoints, with no kernel call, until each part is cleared, isolated,
+bracketed or, where rounding hides its midpoint sign, left unresolved (see
+_Split); and refine all brackets by bisection in about two
+kernel calls (see _bisect_all): each round evaluates, per level down to the
+tolerance, the midpoint that bisection takes toward a predicted root and
+that of the other half. The halo gives the first prediction, and a walk
+that leaves its path takes the next from the points of its round. The
 steps, and so the midpoints, are those of one kernel call per step.
 
 A root's residual |L''(p*)| that would need 50 digits and decides nothing
@@ -37,7 +37,10 @@ results, are plain lists and dicts; only runs of untested cells stay arrays.
 A cell is cleared by the exponential-sum form of L'' (see _ExpSum): either
 one term outweighs all the others on the whole cell, or the value at its
 midpoint exceeds the half-width times a bound on the slope. Both tests
-carry a rounding bound, so a cell that holds a root is never cleared.
+carry a rounding bound, so a cell that holds a root is never cleared. A
+split cell is isolated where the midpoint test holds for the derivative of
+the sum divided by its top term: by Rolle's theorem the cell then holds at
+most one root, and none where its ends share a sign.
 
 Signs come from an equivalent pairwise form that carries sign and log
 magnitude separately, so endpoint sign tests stay meaningful at exponents
@@ -52,7 +55,6 @@ Each t_ij term is shifted by the running maximum before exponentiation.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import logging
 import math
@@ -93,7 +95,6 @@ _log = logging.getLogger(__name__)
 _MAX_HALF_WIDTH = 1e6          # a window end past this cap: RangeExhaustedError
 _GRID_POINTS_PER_UNIT = 8.0    # scan grid points per unit of p
 _REFINE_TOLERANCE = 1e-9       # bisection stops at brackets this wide
-_SPLIT_DEPTH = 12
 _COARSE_CELLS = 128            # about this many cells start the exclusion
 _BRANCH = 16                   # parts per surviving cell at the next exclusion level
 _MARGIN = 1e-9                 # relative slack on every exclusion comparison
@@ -105,7 +106,6 @@ _CHUNK_ELEMENTS = 1 << 21      # elements per vectorized kernel chunk
 _TEST_ELEMENTS = 1 << 16       # cells times terms per exclusion chunk
 _PARTIAL_BUDGET = 400_000      # grid points for the post-exhaustion pass
 _MAX_BISECT_ITER = 128         # bisection steps per bracket
-_SECTION_DEPTH = 6             # bisection levels of a tree round
 _WINDOW_STEPS = 64             # Newton steps per window end before it counts as not certifiable
 
 
@@ -360,20 +360,22 @@ class _ExpSum:
         self.table = np.array((np.sign(m_c), expo, a, e_a, log_c, log_r, log_hi, log_lo, eps_c, rank))
 
     def test(
-        self, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(cleared, sign) for the closed cells [lo, hi] of p; see _test."""
+        self, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray | None = None, rolle: bool = False
+    ) -> tuple[np.ndarray, ...]:
+        """(cleared, sign), and isolated where rolle, for the closed cells
+        [lo, hi] of p; see _test."""
         chunk = max(1, _TEST_ELEMENTS // self.n_terms)
         parts = []
         for s in range(0, lo.shape[0], chunk):
             terms = self.table[:, :, :1] if rows is None else np.take(self.table, rows[s : s + chunk], axis=2)
-            parts.append(self._test(lo[s : s + chunk], hi[s : s + chunk], terms))
+            parts.append(self._test(lo[s : s + chunk], hi[s : s + chunk], terms, rolle))
         if len(parts) == 1:
             return parts[0]
-        return np.concatenate([c for c, _ in parts]), np.concatenate([s for _, s in parts])
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
-    def _test(self, lo: np.ndarray, hi: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(cleared, sign) for the closed cells [lo, hi] of p.
+    def _test(self, lo: np.ndarray, hi: np.ndarray, terms: np.ndarray, rolle: bool = False) -> tuple[np.ndarray, ...]:
+        """(cleared, sign), and isolated where rolle, for the closed cells
+        [lo, hi] of p.
 
         cleared is True where L'' provably has no zero on the cell, by one
         of two tests: (2) one term outweighs the sum of all the others on
@@ -382,9 +384,16 @@ class _ExpSum:
         sign of L'' at m where the rounding bound settles it, else 0.
 
         Each cell divides f by exp(theta q), theta the exponent of the term
-        largest at m, and by that term's size. terms holds the fields of the
-        spec of each cell, one column per cell, or one column for all cells;
-        every array below has one column per cell.
+        largest at m, and by that term's size: F(q) = sum_t c_t exp(q d_t),
+        d_t = a_t - theta. theta is the stored double, so F has the zeros of
+        f exactly. isolated is True where test (1) holds for F', whose terms
+        are those of F times d_t, with d_t off by at most e_a_t + 2u|d_t|:
+        F' has no zero on the cell, so by Rolle's theorem F, and L'', has at
+        most one.
+
+        terms holds the fields of the spec of each cell, one column per
+        cell, or one column for all cells; every array below has one column
+        per cell.
         """
         sign_c, k, a, e_a, log_c, log_r, log_hi, log_lo, eps_c, rank = terms
         m = 0.5 * (lo + hi) - 1.0
@@ -411,9 +420,10 @@ class _ExpSum:
             base = log_c[top, own]
             val = np.exp(log_c - base + shift)
             f_mid = _column_sums(val * sign_c)
+            rad = np.exp(log_r - base + shift + eta)
             err = (
                 _column_sums(val * np.expm1(eta))
-                + _column_sums(np.exp(log_r - base + shift + eta))
+                + _column_sums(rad)
                 + 2.0 * _U * (self.n_terms + 4) * _column_sums(val)
                 + 1e-300 * self.n_terms
             )
@@ -421,7 +431,20 @@ class _ExpSum:
             slope = (1.0 + 4.0 * _U) * r * _column_sums(growth)
             flat = np.abs(f_mid) - err > slope * (1.0 + _MARGIN)
             sign = np.where(np.abs(f_mid) > err * (1.0 + _MARGIN), np.sign(f_mid), 0.0)
-        return dominant | flat, sign.astype(np.int8)
+            if not rolle:
+                return dominant | flat, sign.astype(np.int8)
+            e_d = e_a + 2.0 * _U * ad
+            val_d = val * ad
+            df_mid = _column_sums(val * d * sign_c)
+            df_err = (
+                _column_sums(val_d * np.expm1(eta) + val * np.exp(eta) * e_d)
+                + _column_sums(rad * (ad + e_d))
+                + 2.0 * _U * (self.n_terms + 4) * _column_sums(val_d)
+                + 1e-300 * self.n_terms
+            )
+            df_slope = (1.0 + 4.0 * _U) * r * _column_sums(growth * (ad * (1.0 + 2.0 * _U) + e_a))
+            isolated = np.abs(df_mid) - df_err > df_slope * (1.0 + _MARGIN)
+        return dominant | flat, sign.astype(np.int8), isolated
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +457,7 @@ class _Bracket(NamedTuple):
     sign_lo: int
     local_log_scale: float
     exact_p: float | None = None  # set when the grid hit the root exactly
+    halo: tuple[tuple[float, int, float], ...] = ()  # (p, sign, log|L''|) at grid points near it
 
 
 class _Grid:
@@ -505,8 +529,13 @@ class _Batch:
     def test(self, lo: np.ndarray, hi: np.ndarray, owner: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         return self._per_shape([expsum.test for expsum in self.expsums], (lo, hi), owner, (bool, np.int8))
 
+    def isolate(self, lo: np.ndarray, hi: np.ndarray, owner: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """test, and whether each cell isolates its zeros (see _ExpSum._test)."""
+        calls = [functools.partial(expsum.test, rolle=True) for expsum in self.expsums]
+        return self._per_shape(calls, (lo, hi), owner, (bool, np.int8, bool))
+
     def lists(self, call, parts: dict[int, tuple[list[float], ...]]) -> dict[int, tuple[list, ...]]:
-        """call (self or self.test) once on the lists of every spec in parts,
+        """call (self.test or self.isolate) once on the lists of every spec in parts,
         joined into arrays; its results as lists, split back per spec."""
         owner = np.repeat(list(parts), [len(lists[0]) for lists in parts.values()])
         joined: list[list[float]] = [[] for _ in next(iter(parts.values()))]
@@ -568,37 +597,40 @@ def _live_cells(grids: Sequence[_Grid], batch: _Batch) -> list[tuple[list[int], 
 
 
 class _Split:
-    """One spec's equal-sign tested live cells, split at dyadic midpoints.
+    """One spec's equal-sign tested live cells, halved at dyadic midpoints
+    until each is resolved.
 
-    cells holds (lo, hi, sign, grid cell) of each part still to split, found
-    the brackets (lo, hi, sign_lo, grid cell) of the sign changes found.
+    cells holds (lo, hi, sign at the ends, grid cell) of each part still
+    open, found the brackets (lo, hi, sign_lo, grid cell) of the sign
+    changes found, and unresolved counts the parts that no certificate
+    resolves.
     """
 
-    def __init__(self, cells: list[tuple[float, float, int, int]], uncleared: int):
-        self.cells, self.uncleared = cells, uncleared
+    def __init__(self, cells: list[tuple[float, float, int, int]], unresolved: int):
+        self.cells, self.unresolved = cells, unresolved
         self.found: list[tuple[float, float, int, int]] = []
-        self.warnings: list[str] = []
 
-    def step(self, mids: list[float], sm: list[int]) -> None:
-        """Bracket the halves whose midpoint sign differs, keep the others:
-        the lower halves, then the upper ones."""
-        kept = []
-        for (lo, hi, sign, k), m, s in zip(self.cells, mids, sm):
-            if s == 0:
-                self.warnings.append(
-                    f"tangential zero of the second derivative near p={m:.6g}; not counted as an inflection"
-                )
-            elif s != sign:
-                self.found += [(lo, m, sign, k), (m, hi, s, k)]
+    def step(self, cleared: list[bool], sign: list[int], isolated: list[bool]) -> None:
+        """Resolve each part from its exclusion test (see _ExpSum._test).
+
+        A cleared part holds no zero, and neither does an isolated one: it
+        holds at most one, and its ends share a sign. A midpoint sign that
+        differs from the ends gives two brackets. A midpoint sign lost in
+        rounding, or a midpoint stuck at the resolution of the floats, leaves
+        the part unresolved. Any other part is halved for the next level.
+        """
+        halves = []
+        for (lo, hi, s_end, k), gone, s, alone in zip(self.cells, cleared, sign, isolated):
+            if gone or alone:
+                continue
+            m = 0.5 * (lo + hi)
+            if s == 0 or m <= lo or m >= hi:
+                self.unresolved += 1
+            elif s != s_end:
+                self.found += [(lo, m, s_end, k), (m, hi, s, k)]
             else:
-                kept.append((lo, m, hi, sign, k))
-        self.cells = [(lo, m, s, k) for lo, m, _, s, k in kept] + [(m, hi, s, k) for _, m, hi, s, k in kept]
-
-    def clear(self, cleared: list[bool], sign: list[int]) -> None:
-        # a half whose midpoint value is lost in rounding cannot be cleared
-        # by splitting it further, and the kernel's signs there are noise
-        self.uncleared += sum(not gone and s == 0 for gone, s in zip(cleared, sign))
-        self.cells = [cell for cell, gone, s in zip(self.cells, cleared, sign) if not gone and s != 0]
+                halves += [(lo, m, s_end, k), (m, hi, s_end, k)]
+        self.cells = halves
 
 
 class _OnGrid(dict):
@@ -632,15 +664,19 @@ class _OnGrid(dict):
                 return int(signs[k - s]), float(logmag[k - s])
         raise KeyError(k)
 
-    def local_scale(self, k: int) -> float:
-        return max(self[j][1] for j in range(max(k - 2, 0), min(k + 4, self.grid.size)))
+    def bracket(self, lo: float, hi: float, sign_lo: int, k: int) -> _Bracket:
+        """The bracket [lo, hi] inside grid cell [k, k+1], with the halo of
+        grid points k-2 .. k+3 and their largest log|L''| as its local scale."""
+        grid = self.grid
+        halo = tuple((grid.point(j), *self[j]) for j in range(max(k - 2, 0), min(k + 4, grid.size)))
+        return _Bracket(lo, hi, sign_lo, max(lm for _, _, lm in halo), halo=halo)
 
     def scan(self, warnings: list[str]) -> tuple[list[_Bracket], _Split]:
         """The brackets of the runs of live-cell ends where the kernel is
         exactly zero (a root that fell on the grid, or a tangential touch)
         and of the cells whose ends differ in sign; and the tested cells
-        whose ends share one, to split. Untested ones count as uncleared."""
-        grid, zeros, changes, flat, uncleared = self.grid, [], [], [], 0
+        whose ends share one, to split. Untested ones count as unresolved."""
+        grid, zeros, changes, flat, unresolved = self.grid, [], [], [], 0
         for c in self.cells:
             (s_lo, _), (s_hi, _) = self[c], self[c + 1]
             if s_lo == 0:
@@ -657,7 +693,7 @@ class _OnGrid(dict):
                 s_lo, s_hi = ends[:-1], ends[1:]
                 zeros += (np.flatnonzero(ends == 0) + a).tolist()
                 changes += (np.flatnonzero(s_lo * s_hi < 0) + a).tolist()
-                uncleared += int(np.count_nonzero((s_lo == s_hi) & (s_lo != 0)))
+                unresolved += int(np.count_nonzero((s_lo == s_hi) & (s_lo != 0)))
         runs: list[list[int]] = []
         for k in sorted(set(zeros)):
             if runs and runs[-1][1] == k - 1:
@@ -678,8 +714,8 @@ class _OnGrid(dict):
                     f"tangential zero of the second derivative near p={mid:.6g}; not counted as an inflection"
                 )
         for k in sorted(changes) if self.spans else changes:
-            brackets.append(_Bracket(grid.point(k), grid.point(k + 1), self[k][0], self.local_scale(k)))
-        return brackets, _Split(flat, uncleared)
+            brackets.append(self.bracket(grid.point(k), grid.point(k + 1), self[k][0], k))
+        return brackets, _Split(flat, unresolved)
 
 
 def _collect_brackets(
@@ -689,10 +725,13 @@ def _collect_brackets(
     change of L'' on its grid and in its split cells.
 
     Also returns, per spec, the counts for the scan's debug line: live grid
-    cells, kernel points on the grid (halo included), and split cells left
-    uncleared. The grid, with a halo of two points on either side of every
-    live cell, and each split level are one kernel call each for the whole
-    batch.
+    cells, kernel points on the grid (halo included), and cells left
+    unresolved. The grid, with a halo of two points on either side of every
+    live cell, is one kernel call for the whole batch. The tested live
+    cells whose ends share a sign are then split (see _Split) in one
+    exclusion call per level, and no kernel call: each ends cleared,
+    isolated, bracketed or unresolved. A bracket found there carries the
+    halo of its grid cell.
     """
     on_grid = [_OnGrid(grid, *live) for grid, live in zip(grids, _live_cells(grids, batch))]
     # one kernel call: every spec's near points, then every span
@@ -711,49 +750,18 @@ def _collect_brackets(
         head += size
 
     found, splits = zip(*(g.scan(spec_warnings) for g, spec_warnings in zip(on_grid, warnings)))
-    # equal-sign tested cells: split at dyadic midpoints, keeping the halves
-    # exclusion cannot clear, for _SPLIT_DEPTH levels
-    for _depth in range(_SPLIT_DEPTH):
-        active = [k for k, split in enumerate(splits) if split.cells]
-        if not active:
-            break
-        mids = {k: ([0.5 * (lo + hi) for lo, hi, _, _ in splits[k].cells],) for k in active}
-        at_mids = batch.lists(batch, mids)
-        for k in active:
-            splits[k].step(mids[k][0], at_mids[k][0])
+    # equal-sign tested cells: one exclusion call per level, until each is resolved
+    while active := [k for k, split in enumerate(splits) if split.cells]:
         ends = {k: ([lo for lo, _, _, _ in splits[k].cells], [hi for _, hi, _, _ in splits[k].cells]) for k in active}
-        tests = batch.lists(batch.test, ends)
-        for k in active:
-            splits[k].clear(*tests[k])
+        for k, results in batch.lists(batch.isolate, ends).items():
+            splits[k].step(*results)
     out = []
-    for g, brackets, split, spec_warnings in zip(on_grid, found, splits, warnings):
-        split.uncleared += len(split.cells)  # survivors of the last level are dropped
-        spec_warnings.extend(split.warnings)
-        brackets += [_Bracket(lo, hi, sign_lo, g.local_scale(k)) for lo, hi, sign_lo, k in split.found]
+    for g, brackets, split in zip(on_grid, found, splits):
+        brackets += [g.bracket(*cell) for cell in split.found]
         brackets.sort(key=lambda br: br.lo)
         live = len(g.cells) + sum(b - a for a, b in g.runs)
-        out.append((brackets, (live, len(g.near) + sum(e - s for s, e, *_ in g.spans), split.uncleared)))
+        out.append((brackets, (live, len(g.near) + sum(e - s for s, e, *_ in g.spans), split.unresolved)))
     return out
-
-
-def _sections(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
-    """The midpoints of the next depth bisection levels of each [lo, hi].
-
-    Row t holds the 2^depth - 1 midpoints of bracket t in ascending order.
-    Level d splits the 2^d intervals between consecutive breakpoints (lo,
-    hi and the midpoints of the levels above), so the point halfway between
-    two others, by index, is the midpoint that plain bisection takes there.
-    Points the walk cannot reach, below an interval within tolerance or a
-    midpoint stuck at the resolution of the floats, are computed all the
-    same and never read.
-    """
-    ends = np.empty((lo.shape[0], (1 << depth) + 1))
-    ends[:, 0] = lo
-    ends[:, -1] = hi
-    for level in range(depth):
-        step = 1 << (depth - level)
-        ends[:, step >> 1 :: step] = 0.5 * (ends[:, :-1:step] + ends[:, step::step])
-    return ends[:, 1:-1]
 
 
 def _estimate(lo: float, hi: float, nodes: list[tuple[float, int, float]]) -> float:
@@ -794,34 +802,37 @@ def _path(lo: float, hi: float, guess: float, tolerance: float, steps: int) -> l
     return out
 
 
+def _nearest(nodes, lo: float, hi: float) -> list[tuple[float, int, float]]:
+    """Of the four nodes (p, sign, log|L''|) nearest [lo, hi], those whose
+    sign and magnitude _estimate can use."""
+    near = sorted(nodes, key=lambda node: max(lo - node[0], node[0] - hi, 0.0))[:4]
+    return [node for node in near if node[1] != 0 and math.isfinite(node[2])]
+
+
 def _bisect_all(
     kernel, brackets: list[_Bracket], tolerance: float, owner: Sequence | None = None, counts: Counter | None = None
 ) -> np.ndarray:
     """Refine every bracket by bisection, in about two kernel calls; returns
     the midpoints.
 
-    A bracket's first round is a tree: the midpoints of its next
-    _SECTION_DEPTH bisection levels (see _sections), from which it takes up
-    to that many steps. _estimate then predicts its root from the nodes
-    nearest the narrowed bracket, and the next round evaluates, per level
-    down to tolerance, the midpoint that bisection takes toward the
-    prediction and, as a hedge, that of the half it leaves. A walk that
-    needs a midpoint its round did not hold has missed, and takes a tree
-    round again. All open brackets share one kernel call per round.
+    Each round evaluates, for every open bracket, the bisection path toward
+    its predicted root (see _path): per level down to tolerance, the
+    midpoint that bisection takes toward the prediction and, as a hedge,
+    that of the half it leaves, so a round takes at least two levels of
+    each walk. The first prediction is _estimate of the four halo nodes
+    nearest the bracket; a walk that the round leaves open takes its next
+    one from the four points of that round nearest its narrowed bracket.
+    All open brackets share one kernel call per round.
 
     Each walk is plain bisection: stop once hi - lo is within tolerance or
     after _MAX_BISECT_ITER steps; collapse onto a midpoint that is stuck at
     the resolution of the floats or where the sign is exactly zero; pause
-    where the round holds no next midpoint. It reads a tree by node index
-    (the root in the middle, each child half the remaining span away) and a
-    path by position (a level's midpoint, then its hedge), so the signs it
-    reads are those at the exact midpoints it takes. A point's sign does
-    not depend on the call it is in (see _Kernel), so the midpoints are
-    those of one kernel call per step, in fewer and fuller calls: numpy
-    dispatch, not the number of points, sets the cost of a call. kernel is
-    a _Kernel or a _Batch, and owner gives the spec of each bracket in it
-    (None: the one spec of a _Kernel). counts, where given, gains the "tree
-    rounds", the "predicted rounds" and the walks that "missed".
+    where the round holds no next midpoint. A point's sign does not depend
+    on the call it is in (see _Kernel), so the midpoints are those of one
+    kernel call per step. kernel is a _Kernel or a _Batch, and owner gives
+    the spec of each bracket in it (None: the one spec of a _Kernel).
+    counts, where given, gains the "predicted rounds" and the walks that
+    "missed", which the round left open.
 
     The brackets themselves keep their original endpoints: escalation needs
     endpoints whose double-precision signs are trustworthy, and those are
@@ -831,37 +842,17 @@ def _bisect_all(
     lo = [br.lo if br.exact_p is None else br.exact_p for br in brackets]
     hi = [br.hi if br.exact_p is None else br.exact_p for br in brackets]
     steps = [0] * len(brackets)
-    guess: list[float | None] = [None] * len(brackets)  # None: the next round is a tree
-    while True:
-        walks = [k for k in range(len(brackets)) if hi[k] - lo[k] > tolerance and steps[k] < _MAX_BISECT_ITER]
-        if not walks:
-            break
-        trees = [k for k in walks if guess[k] is None]
-        paths = [k for k in walks if guess[k] is not None]
-        pieces, sizes, rows = [], [], []
-        if trees:
-            # no more levels than the widest bracket needs to reach tolerance
-            widest = max(hi[k] - lo[k] for k in trees) / tolerance if tolerance > 0.0 else math.inf
-            depth = min(_SECTION_DEPTH, math.frexp(widest)[1]) if math.isfinite(widest) else _SECTION_DEPTH
-            nodes = _sections(np.array([lo[k] for k in trees]), np.array([hi[k] for k in trees]), depth)
-            pieces.append(nodes.ravel())
-            rows = nodes.tolist()
-            sizes += [nodes.shape[1]] * len(trees)
-            counts["tree rounds"] += 1
-        if paths:
-            along = [_path(lo[k], hi[k], guess[k], tolerance, _MAX_BISECT_ITER - steps[k]) for k in paths]
-            pieces.append(np.array([q for row in along for q in row]))
-            sizes += map(len, along)
-            counts["predicted rounds"] += 1
-        ps = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        at = None if owner is None else np.repeat([owner[k] for k in trees + paths], sizes)
+    guess = [_estimate(a, b, _nearest(br.halo, a, b)) for a, b, br in zip(lo, hi, brackets)]
+    while walks := [k for k in range(len(brackets)) if hi[k] - lo[k] > tolerance and steps[k] < _MAX_BISECT_ITER]:
+        along = [_path(lo[k], hi[k], guess[k], tolerance, _MAX_BISECT_ITER - steps[k]) for k in walks]
+        ps = np.array([q for row in along for q in row])
+        at = None if owner is None else np.repeat([owner[k] for k in walks], [len(row) for row in along])
         signs, logmag = (out.tolist() for out in kernel(ps, at)) if ps.size else ([], [])
+        counts["predicted rounds"] += 1
         base = 0  # where the points of the next walk start
-        for t, (k, size) in enumerate(zip(trees + paths, sizes)):
-            a, b, taken, sign_lo, toward = lo[k], hi[k], steps[k], brackets[k].sign_lo, guess[k]
-            tree = toward is None
-            # the node of the next midpoint and, in a tree, the distance to its children
-            node, half = (size // 2, (size + 1) // 2) if tree else (0, 0)
+        for k, row in zip(walks, along):
+            a, b, taken, sign_lo, toward, size = lo[k], hi[k], steps[k], brackets[k].sign_lo, guess[k], len(row)
+            node = 0  # the next midpoint: a level's midpoint at even nodes, its hedge at odd ones
             while b - a > tolerance and taken < _MAX_BISECT_ITER:
                 m = 0.5 * (a + b)
                 if m <= a or m >= b or (node < size and signs[base + node] == 0):
@@ -872,23 +863,13 @@ def _bisect_all(
                 taken += 1
                 left = signs[base + node] != sign_lo
                 a, b = (a, m) if left else (m, b)
-                if tree:
-                    half >>= 1
-                    node = (node - half if left else node + half) if half else size
-                else:  # the next level along the path, or the hedge, past which it holds nothing
-                    node = size if node % 2 else node + (2 if left == (toward < m) else 1)
+                # the next level along the path, or the hedge, past which it holds nothing
+                node = size if node % 2 else node + (2 if left == (toward < m) else 1)
             lo[k], hi[k], steps[k] = a, b, taken
-            still_open = b - a > tolerance and taken < _MAX_BISECT_ITER
-            if not tree:
-                guess[k] = None
-                counts["missed"] += still_open
-            elif still_open:
-                # the four nodes nearest the narrowed bracket, which ends at node `right`
-                row = rows[t]
-                right = bisect.bisect_left(row, b)
-                first = max(min(right - 2, size - 4), 0)
-                near = [(row[c], signs[base + c], logmag[base + c]) for c in range(first, min(first + 4, size))]
-                guess[k] = _estimate(a, b, [x for x in near if x[1] != 0 and math.isfinite(x[2])])
+            if b - a > tolerance and taken < _MAX_BISECT_ITER:
+                counts["missed"] += 1
+                points = zip(row, signs[base : base + size], logmag[base : base + size])
+                guess[k] = _estimate(a, b, _nearest(points, a, b))
             base += size
     return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
 
@@ -1153,11 +1134,11 @@ def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
     calls, points = batch.calls, batch.points
     counts: Counter = Counter()
     mids = _bisect_all(batch, brackets, _REFINE_TOLERANCE, owner, counts)
-    for window, (_, (live, grid_points, uncleared)) in zip(windows, collected):
+    for window, (_, (live, grid_points, unresolved)) in zip(windows, collected):
         _log.debug(
             "scan window [%g, %g] (left end %s, right end %s): "
-            "%d live grid cells, %d kernel points on the grid (halo included), %d split cells left uncleared",
-            *window.grid.span, *window.reasons, live, grid_points, uncleared,
+            "%d live grid cells, %d kernel points on the grid (halo included), %d cells left unresolved",
+            *window.grid.span, *window.reasons, live, grid_points, unresolved,
         )
     start = 0
     for t, k in enumerate(scanned):
@@ -1170,10 +1151,10 @@ def _scan_many(specs: Sequence[MeanSpec], precision: str = "auto") -> list:
             report = RangeExhaustedError(why, report=report)
         outcomes[k] = report
     _log.debug(
-        "batch of %d scans: bisection: %d kernel calls, %d points, %d tree rounds, %d predicted rounds, "
+        "batch of %d scans: bisection: %d kernel calls, %d points, %d predicted rounds, "
         "%d walks missed their prediction; residuals: %d deferred, %d taken at 50 digits; "
         "in all: %d kernel calls, %d points",
-        len(scanned), batch.calls - calls, batch.points - points, counts["tree rounds"], counts["predicted rounds"],
+        len(scanned), batch.calls - calls, batch.points - points, counts["predicted rounds"],
         counts["missed"], counts["deferred"], counts["eager"], batch.calls, batch.points,
     )
     return outcomes
@@ -1202,11 +1183,13 @@ def find_inflections(spec: MeanSpec, precision: str = "auto") -> InflectionRepor
     above 1e-3 of the local curvature scale. Raises UsageError for any
     other value.
 
-    Each bracket is bisected to 1e-9 in about two kernel calls (see
-    _bisect_all): a call with the next six levels of midpoints, then one
-    along the path toward the root that the first call's values predict.
-    A residual that would need 50 digits and decides nothing is taken when
-    it is first read, with the same value.
+    A grid cell whose ends share a sign is halved until each part is
+    cleared, isolated by Rolle's test or bracketed (see _Split), so a pair
+    of roots closer than the grid spacing is found. Each bracket is
+    bisected to 1e-9 in about two kernel calls (see _bisect_all), each
+    along the bisection path toward the root that the grid's values, then
+    the last call's, predict. A residual that would need 50 digits and
+    decides nothing is taken when it is first read, with the same value.
 
     The scan window is certified per spec (see _windows), and the report's
     scan_range is that window. Raises NoInflectionError for constant specs

@@ -160,6 +160,17 @@ class TestSearch:
         assert "hits=1" in out
         assert "trial 0" in out
 
+    def test_pinned_file_with_weights_is_rejected(self, capsys, tmp_path):
+        # search scans unit weights; a weighted pin would report another spec's roots
+        path = tmp_path / "w.txt"
+        path.write_text("0.6818880749720027,10\n0.5672627948873008,1\n4.157181988810782,2\n")
+        rc, out, err = run(capsys, "search", "--pin", f"@{path}", "--min-roots", "1")
+        assert rc == 1 and not out
+        assert "--pin" in err and "weights" in err
+        path.write_text("0.6818880749720027\n0.5672627948873008\n4.157181988810782\n")
+        rc, out, _ = run(capsys, "search", "--pin", f"@{path}", "--min-roots", "1")
+        assert rc == 0 and "hits=1" in out
+
     def test_json_payload(self, capsys):
         rc, out, _ = run(
             capsys, "search", "--pin", "1.0259,1.0241,1.0244,0.96", "--min-roots", "3", "--json"

@@ -36,7 +36,6 @@ from lehmer.inflection import (
     _ESCALATION_FACTOR,
     _MAX_BISECT_ITER,
     _REFINE_TOLERANCE,
-    _SECTION_DEPTH,
     _Batch,
     _Bracket,
     _ExpSum,
@@ -56,6 +55,10 @@ from lehmer.search import Cluster, LogUniform
 THREE_ROOT_VALUES = [1.0259, 1.0241, 1.0244, 0.96]
 # located by this scanner, then re-bisected on 50-digit arithmetic
 THREE_ROOTS = (-15.80746359940527, 203.918544293744, 401.3896861793917)
+# weighted triples with two roots close together near p = -5.25, besides the
+# one near 1.43; the spec of DROPPED_PAIR has its pair 5.7e-6 apart
+PAIR_VALUES = [0.6818880749720027, 0.5672627948873008, 4.157181988810782]
+DROPPED_PAIR = (PAIR_VALUES, [3.4823288839002684, 1.0, 2.0])
 
 
 class TestCountBound:
@@ -568,6 +571,16 @@ class TestExclusionSoundness:
                 checked += 40
         assert checked >= 1500
 
+    def test_cells_holding_a_root_pair_are_not_isolated(self, rng):
+        # Rolle's test proves at most one zero: never on a cell holding two
+        for w1 in TestRootPairs.WEIGHTS:
+            spec = make_spec(PAIR_VALUES, [w1, 1.0, 2.0])
+            first, second = [root.p_star for root in find_inflections(spec).roots[:2]]
+            widths = np.exp(rng.uniform(np.log(1e-7), np.log(1.0), 200))
+            below = rng.uniform(0.01, 0.99, 200) * widths
+            cleared, _, isolated = _ExpSum([spec]).test(first - below, second - below + widths, rolle=True)
+            assert not (cleared | isolated).any(), (w1, first, second)
+
     def test_unit_pair_cells_ending_at_one_survive(self, rng):
         for _ in range(30):
             values = np.exp(rng.uniform(-300.0, 300.0, 2)).tolist()
@@ -604,31 +617,60 @@ class TestExclusionSoundness:
         assert not runs  # every live cell was tested down to its own level
 
 
+class TestRootPairs:
+    """Two roots in one grid cell, found by splitting the cell until each
+    part is cleared, isolated by Rolle's test or bracketed."""
+
+    # pairs 5.7e-6, 0.0031 and 2e-5 apart
+    WEIGHTS = (3.4823288839002684, 3.482330322265625, 3.482328883954324)
+
+    @pytest.mark.parametrize("w1", WEIGHTS)
+    def test_pair_in_one_grid_cell(self, w1, caplog):
+        caplog.set_level(logging.DEBUG, logger="lehmer.inflection")
+        spec = make_spec(PAIR_VALUES, [w1, 1.0, 2.0])
+        report = find_inflections(spec)
+        assert len(report.roots) == 3 and report.parity_ok and not report.warnings
+        first, second, third = report.roots
+        assert -5.375 < first.p_star < second.p_star < -5.25 and 1.375 < third.p_star < 1.5
+        for root in (first, second):
+            assert root.p_star == pytest.approx(inflection._bisect_mp(spec, *root.bracket), abs=1e-9)
+        [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("scan window")]
+        assert "0 cells left unresolved" in line, line
+
+
 class TestGridHalo:
     """One kernel call evaluates the grid: the ends of the live cells and two
     grid points on either side, from which each bracket's local scale and
     the flanks of exact zeros are read."""
 
     def test_one_kernel_call_for_the_grid(self, rng, monkeypatch):
-        # then one call per split level; nothing else
-        levels = {}
-        step = inflection._Split.step
+        # then one exclusion call per split level, and no kernel call below the grid
+        levels, isolate_calls = {}, []
+        step, isolate = inflection._Split.step, _Batch.isolate
 
-        def counted(split, mids, sm):
+        def stepped(split, *results):
             levels[id(split)] = levels.get(id(split), 0) + 1
-            step(split, mids, sm)
+            step(split, *results)
 
-        monkeypatch.setattr(inflection._Split, "step", counted)
+        def isolating(batch, *args):
+            isolate_calls.append(args)
+            return isolate(batch, *args)
+
+        monkeypatch.setattr(inflection._Split, "step", stepped)
+        monkeypatch.setattr(_Batch, "isolate", isolating)
         draws = [make_spec(LogUniform().draw(rng, 3).tolist()) for _ in range(8)]
         split_levels = []
-        for specs in ([make_spec([1.0, 2.0, 3.0])], [make_spec(THREE_ROOT_VALUES)], draws):
+        for specs in ([make_spec([1.0, 2.0, 3.0])], [make_spec(THREE_ROOT_VALUES)], draws, [make_spec(*DROPPED_PAIR)]):
             levels.clear()
+            isolate_calls.clear()
             batch = _Batch(specs)
             assert len(batch.kernels) == 1
             _collect_brackets(batch, [window.grid for window in _windows(batch)], [[] for _ in specs])
             split_levels.append(max(levels.values(), default=0))
-            assert batch.calls == 1 + split_levels[-1], (specs, split_levels[-1])
-        assert max(split_levels) > 0
+            assert batch.calls == 1, specs
+            assert len(isolate_calls) == split_levels[-1], (specs, split_levels[-1])
+        assert max(split_levels[:3]) > 0
+        assert split_levels[-1] > 1  # the weighted triple's pair needs more than one level
 
     def test_local_scale_is_the_largest_log_magnitude_nearby(self, rng):
         cluster = Cluster()
@@ -688,7 +730,8 @@ def _stepwise_bisection(kernel, brackets, tolerance):
 
 
 class TestSectionBisection:
-    """Section bisection gives the midpoints of one kernel call per step."""
+    """Bisection along predicted paths gives the midpoints of one kernel
+    call per step, and takes at least two steps per call."""
 
     @staticmethod
     def _scan_brackets(spec):
@@ -730,7 +773,7 @@ class TestSectionBisection:
             several += len(brackets) > 1
             calls, step_calls = self._same(kernel, brackets, 1e-9)
             if step_calls:
-                assert calls <= 2 * math.ceil(step_calls / _SECTION_DEPTH)
+                assert calls <= math.ceil(step_calls / 2)
         assert several >= 2  # the canonical four values and the ulp-spaced triple
 
     def test_exact_zeros(self):
@@ -791,8 +834,9 @@ def _plain_bisection(spec, br, tolerance):
 
 
 class TestPredictedBisection:
-    """A tree round, then the path toward the interpolated root: the
-    midpoints of plain bisection, in about two kernel calls."""
+    """Rounds along the path toward the interpolated root, the first one
+    predicted from the grid's halo: the midpoints of plain bisection, in
+    about two kernel calls."""
 
     @staticmethod
     def _specs(rng):
@@ -839,7 +883,7 @@ class TestPredictedBisection:
         batch, brackets, owner = self._brackets(specs)
         counts = Counter()
         expected = _bisect_all(batch, brackets, 1e-9, owner, counts)
-        assert counts["tree rounds"] == counts["predicted rounds"] == 1
+        rounds = counts["predicted rounds"]
         estimate = inflection._estimate
 
         def wrong(lo, hi, nodes):
@@ -852,7 +896,7 @@ class TestPredictedBisection:
         counts = Counter()
         assert np.array_equal(_bisect_all(batch, brackets, 1e-9, owner, counts), expected)
         assert counts["missed"] >= len(brackets)  # every walk, in every predicted round
-        assert counts["tree rounds"] >= 2 and counts["predicted rounds"] >= 2
+        assert counts["predicted rounds"] > rounds  # two levels per round, not a whole path
 
     def test_the_hedge_covers_a_miss_one_level_above_the_last(self, monkeypatch):
         # estimate a point of the half that plain bisection leaves at its
@@ -873,7 +917,7 @@ class TestPredictedBisection:
         monkeypatch.setattr(inflection, "_estimate", lambda lo, hi, nodes: wrong)
         counts = Counter()
         assert _bisect_all(batch, [br], _REFINE_TOLERANCE, owner, counts).tolist() == [0.5 * (lo + hi)]
-        assert batch.calls == 3 and counts["missed"] == 0  # the grid, the tree and the path
+        assert batch.calls == 2 and counts["missed"] == 0  # the grid and the path
 
     def test_two_kernel_calls_for_one_root(self):
         batch, brackets, owner = self._brackets([make_spec([1.0, 2.0, 3.0])])
@@ -889,7 +933,7 @@ class TestPredictedBisection:
             [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("batch of")]
             assert (
                 "bisection: 2 kernel calls" in line
-                and "1 tree rounds, 1 predicted rounds, 0 walks missed their prediction" in line
+                and "2 predicted rounds, 1 walks missed their prediction" in line
                 and f"residuals: {roots} deferred, 0 taken at 50 digits" in line
             ), line
 

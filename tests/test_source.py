@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +23,25 @@ def test_no_top_level_name_defined_twice(path):
     ]
     twice = sorted(name for name, count in Counter(defs).items() if count > 1)
     assert not twice, f"{path.name} defines {', '.join(twice)} more than once"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_private_constant_is_read_in_its_module(path):
+    # a constant nothing reads is a setting that no longer sets anything
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", name.id):
+                    defined.add(name.id)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(defined - read)
+    assert not unread, f"{path.name} defines {', '.join(unread)}, which it never reads"
 
 
 def test_package_source_found():
