@@ -201,17 +201,23 @@ def second_derivative(spec: MeanSpec, p: float, precision: str = "auto") -> floa
     """L''(p) via the log-moment bracket; exactly 0 for constant specs.
 
     precision:
-        "standard"  double precision only: the double bracket while it keeps
-                    ten decimal digits, else the pairwise double form while
-                    that keeps ten (0.0 where its every term is exactly 0),
-                    else the double bracket all the same
+        "standard"  double precision only: the double bracket while its sum
+                    keeps 1e-10 of its largest term, else the pairwise
+                    double form while that keeps ten digits against its
+                    rounding (0.0 where its every term is exactly 0), else
+                    the double bracket all the same
         "extended"  the bracket at 50 significant digits; where even those
                     cancel to noise, the pairwise double form of the module
                     docstring if it keeps ten digits, else 0.0
-        "auto"      the double bracket while it keeps ten decimal digits;
-                    else the pairwise double form while that keeps ten;
-                    else the 50-digit bracket while that keeps its own
-                    floor; else 0.0 (default)
+        "auto"      the double bracket while its sum keeps 1e-10 of its
+                    largest term; else the pairwise double form while that
+                    keeps ten digits; else the 50-digit bracket while that
+                    keeps its own floor; else 0.0 (default)
+
+    A double bracket accepted at that limit may have lost ten of its
+    sixteen digits, so it is good to about six: {0.5, 2.5} at p = -14.5
+    gives 7.591768880655744e-11 against 7.59177596379464e-11 at 50 digits
+    (9.3e-7 relative).
     """
     p = float(p)
     _check_precision(precision)
@@ -239,10 +245,11 @@ def _fifty_digit_second_derivative(spec: MeanSpec, p: float) -> float:
 
 
 def _double_second_derivative(spec: MeanSpec, p: float, point: tuple) -> tuple[float, float | None]:
-    """(L''(p) as "standard" gives it, None) where the double bracket or the
-    pairwise form keeps ten decimal digits, and (0.0, None) where every
-    pairwise term is exactly 0; else (L * bracket, a bound on |L''(p)|),
-    where "auto" goes to 50 digits.
+    """(L''(p) as "standard" gives it, None) where the double bracket keeps
+    1e-10 of its largest term (about six correct digits, see
+    second_derivative) or the pairwise form keeps ten digits against its
+    rounding, and (0.0, None) where every pairwise term is exactly 0; else
+    (L * bracket, a bound on |L''(p)|), where "auto" goes to 50 digits.
 
     The bound is the pairwise form's |sum| plus 1e-10 of its size, in the
     form's own scale: far above the rounding its terms can carry. It is inf

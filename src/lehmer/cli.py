@@ -209,6 +209,8 @@ def _parse_p_range(text: str) -> tuple[float, float, float]:
         raise UsageError("p-range step must be positive")
     if hi < lo:
         raise UsageError("p-range upper bound is below the lower bound")
+    if not (hi - lo) / step + 1e-9 < 1e6:  # the count of _range_points, before any is built
+        raise UsageError(f"--p-range {text!r} gives more than 1,000,000 points")
     return lo, hi, step
 
 

@@ -12,12 +12,12 @@ the local scale of each bracket; bracket every sign change between the ends
 of a remaining cell; halve the remaining cells without one at dyadic
 midpoints, with no kernel call, until each part is cleared, isolated,
 bracketed or, where rounding hides its midpoint sign, left unresolved (see
-_Split); and refine all brackets by bisection in about two
-kernel calls (see _bisect_all): each round evaluates, per level down to the
-tolerance, the midpoint that bisection takes toward a predicted root and
-that of the other half. The halo gives the first prediction, and a walk
-that leaves its path takes the next from the points of its round. The
-steps, and so the midpoints, are those of one kernel call per step.
+_Split); and refine all brackets by bisection (see _bisect_all): each round
+evaluates, per level down to the tolerance, the midpoint that bisection
+takes toward the root that Newton's method on the exponential sum predicts
+and that of the other half, so one round suffices wherever the sum locates
+the root. The steps, and so the midpoints, are those of one kernel call per
+step.
 
 A root's residual |L''(p*)| that would need 50 digits and decides nothing
 is taken when it is first read (see _report): search and verify never read
@@ -105,7 +105,7 @@ _DEFER_MARGIN = 1e3            # a residual bounded this far below the escalatio
 _CHUNK_ELEMENTS = 1 << 21      # elements per vectorized kernel chunk
 _TEST_ELEMENTS = 1 << 16       # cells times terms per exclusion chunk
 _PARTIAL_BUDGET = 400_000      # grid points for the post-exhaustion pass
-_MAX_BISECT_ITER = 128         # bisection steps per bracket
+_NEWTON_STEPS = 16             # Newton steps per root prediction
 _WINDOW_STEPS = 64             # Newton steps per window end before it counts as not certifiable
 
 
@@ -457,7 +457,6 @@ class _Bracket(NamedTuple):
     sign_lo: int
     local_log_scale: float
     exact_p: float | None = None  # set when the grid hit the root exactly
-    halo: tuple[tuple[float, int, float], ...] = ()  # (p, sign, log|L''|) at grid points near it
 
 
 class _Grid:
@@ -483,6 +482,7 @@ class _Batch:
     Points and cells carry the index of their spec in the batch (owner); a
     call makes one kernel or exclusion call per shape among its owners, and
     none for an empty call. shapes, where given, are the specs' _shape.
+    terms holds each spec's column of its _ExpSum.table, as lists.
     """
 
     def __init__(self, specs: Sequence[MeanSpec], shapes: Sequence[tuple] | None = None):
@@ -493,11 +493,14 @@ class _Batch:
         self.group = np.empty(len(specs), dtype=np.intp)
         self.row = np.empty(len(specs), dtype=np.intp)
         self.kernels, self.expsums = [], []
+        self.terms: list[list[list[float]]] = [[]] * len(specs)
         for g, (shape, members) in enumerate(groups.items()):
             self.group[members] = g
             self.row[members] = np.arange(len(members))
             self.kernels.append(_Kernel([specs[k] for k in members], shape[2]))
             self.expsums.append(_ExpSum([specs[k] for k in members]))
+            for k, column in zip(members, self.expsums[-1].table.transpose(2, 0, 1).tolist()):
+                self.terms[k] = column
 
     @property
     def calls(self) -> int:
@@ -665,11 +668,10 @@ class _OnGrid(dict):
         raise KeyError(k)
 
     def bracket(self, lo: float, hi: float, sign_lo: int, k: int) -> _Bracket:
-        """The bracket [lo, hi] inside grid cell [k, k+1], with the halo of
-        grid points k-2 .. k+3 and their largest log|L''| as its local scale."""
-        grid = self.grid
-        halo = tuple((grid.point(j), *self[j]) for j in range(max(k - 2, 0), min(k + 4, grid.size)))
-        return _Bracket(lo, hi, sign_lo, max(lm for _, _, lm in halo), halo=halo)
+        """The bracket [lo, hi] inside grid cell [k, k+1], with the largest
+        log|L''| of grid points k-2 .. k+3 as its local scale."""
+        scale = max(self[j][1] for j in range(max(k - 2, 0), min(k + 4, self.grid.size)))
+        return _Bracket(lo, hi, sign_lo, scale)
 
     def scan(self, warnings: list[str]) -> tuple[list[_Bracket], _Split]:
         """The brackets of the runs of live-cell ends where the kernel is
@@ -730,8 +732,8 @@ def _collect_brackets(
     live cell, is one kernel call for the whole batch. The tested live
     cells whose ends share a sign are then split (see _Split) in one
     exclusion call per level, and no kernel call: each ends cleared,
-    isolated, bracketed or unresolved. A bracket found there carries the
-    halo of its grid cell.
+    isolated, bracketed or unresolved. A bracket found there takes the
+    local scale of its grid cell.
     """
     on_grid = [_OnGrid(grid, *live) for grid, live in zip(grids, _live_cells(grids, batch))]
     # one kernel call: every spec's near points, then every span
@@ -764,32 +766,42 @@ def _collect_brackets(
     return out
 
 
-def _estimate(lo: float, hi: float, nodes: list[tuple[float, int, float]]) -> float:
-    """The likely root in [lo, hi] from nodes (p, sign, log|L''|) near it:
-    the polynomial through the points (L''(p), p), taken at L'' = 0. The
-    midpoint where that fails or falls outside the bracket."""
-    guess = math.nan
-    if nodes:
-        top = max(lm for _, _, lm in nodes)
-        fs = [sign * math.exp(lm - top) for _, sign, lm in nodes]
-        guess = lo
-        try:
-            for i, ((q, _, _), f) in enumerate(zip(nodes, fs)):
-                guess += (q - lo) * math.prod(g / (g - f) for j, g in enumerate(fs) if j != i)
-        except ZeroDivisionError:
-            pass
-    return guess if lo < guess < hi else 0.5 * (lo + hi)
-
-
-def _path(lo: float, hi: float, guess: float, tolerance: float, steps: int) -> list[float]:
-    """The bisection path of [lo, hi] toward guess: per level, the midpoint
-    and the midpoint of the half the path leaves, down to tolerance or for
-    at most steps levels. It stops before a midpoint stuck at the
-    resolution of the floats."""
-    out: list[float] = []
-    for _ in range(steps):
-        if hi - lo <= tolerance:
+def _newton(terms: list[list[float]], lo: float, hi: float, sign_lo: int) -> float:
+    """The likely root in [lo, hi] of L'', whose sign at lo is sign_lo:
+    Newton's method on its exponential sum f(q) = sum_t s_t exp(rho_t +
+    q a_t), q = p - 1, from the midpoint (terms: the spec's column of
+    _ExpSum.table, rho_t its rank). Each step shifts out the largest
+    exponent, sums f and f' with fsum and narrows the sign bracket of f;
+    a step that would leave the bracket halves it. It stops where p stops
+    moving, where the bracket holds no float between its ends, or after
+    _NEWTON_STEPS steps. The result only predicts a path's halves.
+    """
+    sign, _, a, *_, rank = terms
+    p = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        q = p - 1.0
+        e = [r + q * x for r, x in zip(rank, a)]
+        top = max(e)
+        v = [s * math.exp(x - top) for s, x in zip(sign, e)]
+        f = math.fsum(v)
+        if f == 0.0:
             break
+        lo, hi = (p, hi) if (f > 0.0) == (sign_lo > 0) else (lo, p)
+        df = math.fsum(w * x for w, x in zip(v, a))
+        step = p - f / df if df else math.nan
+        nxt = step if lo < step < hi else 0.5 * (lo + hi)
+        if step == p or not lo < nxt < hi:
+            break
+        p = nxt
+    return p
+
+
+def _path(lo: float, hi: float, guess: float, tolerance: float) -> list[float]:
+    """The bisection path of [lo, hi] toward guess: per level, the midpoint
+    and the midpoint of the half the path leaves, down to tolerance. It
+    stops before a midpoint stuck at the resolution of the floats."""
+    out: list[float] = []
+    while hi - lo > tolerance:
         m = 0.5 * (lo + hi)
         if m <= lo or m >= hi:
             break
@@ -802,74 +814,61 @@ def _path(lo: float, hi: float, guess: float, tolerance: float, steps: int) -> l
     return out
 
 
-def _nearest(nodes, lo: float, hi: float) -> list[tuple[float, int, float]]:
-    """Of the four nodes (p, sign, log|L''|) nearest [lo, hi], those whose
-    sign and magnitude _estimate can use."""
-    near = sorted(nodes, key=lambda node: max(lo - node[0], node[0] - hi, 0.0))[:4]
-    return [node for node in near if node[1] != 0 and math.isfinite(node[2])]
-
-
 def _bisect_all(
-    kernel, brackets: list[_Bracket], tolerance: float, owner: Sequence | None = None, counts: Counter | None = None
+    batch, brackets: list[_Bracket], tolerance: float, owner: Sequence | None = None, counts: Counter | None = None
 ) -> np.ndarray:
-    """Refine every bracket by bisection, in about two kernel calls; returns
-    the midpoints.
+    """Refine every bracket by bisection, in one kernel call wherever the
+    exponential sum locates the root; returns the midpoints.
 
     Each round evaluates, for every open bracket, the bisection path toward
     its predicted root (see _path): per level down to tolerance, the
     midpoint that bisection takes toward the prediction and, as a hedge,
     that of the half it leaves, so a round takes at least two levels of
-    each walk. The first prediction is _estimate of the four halo nodes
-    nearest the bracket; a walk that the round leaves open takes its next
-    one from the four points of that round nearest its narrowed bracket.
-    All open brackets share one kernel call per round.
+    each walk. The prediction is _newton on the spec's exponential sum
+    inside the bracket the walk has reached. All open brackets share one
+    kernel call per round.
 
-    Each walk is plain bisection: stop once hi - lo is within tolerance or
-    after _MAX_BISECT_ITER steps; collapse onto a midpoint that is stuck at
-    the resolution of the floats or where the sign is exactly zero; pause
-    where the round holds no next midpoint. A point's sign does not depend
-    on the call it is in (see _Kernel), so the midpoints are those of one
-    kernel call per step. kernel is a _Kernel or a _Batch, and owner gives
-    the spec of each bracket in it (None: the one spec of a _Kernel).
-    counts, where given, gains the "predicted rounds" and the walks that
-    "missed", which the round left open.
+    Each walk is plain bisection: stop once hi - lo is within tolerance;
+    collapse onto a midpoint that is stuck at the resolution of the floats
+    or where the sign is exactly zero; pause where the round holds no next
+    midpoint. A point's sign does not depend on the call it is in (see
+    _Kernel), so the midpoints are those of one kernel call per step.
+    owner gives the spec in batch (a _Batch) of each bracket (None: the
+    first). counts, where given, gains the "predicted rounds" and the walks
+    that "missed", which the round left open.
 
     The brackets themselves keep their original endpoints: escalation needs
     endpoints whose double-precision signs are trustworthy, and those are
     the grid-scale ones, not the refined pair straddling the root.
     """
     counts = Counter() if counts is None else counts
+    owner = [0] * len(brackets) if owner is None else owner
     lo = [br.lo if br.exact_p is None else br.exact_p for br in brackets]
     hi = [br.hi if br.exact_p is None else br.exact_p for br in brackets]
-    steps = [0] * len(brackets)
-    guess = [_estimate(a, b, _nearest(br.halo, a, b)) for a, b, br in zip(lo, hi, brackets)]
-    while walks := [k for k in range(len(brackets)) if hi[k] - lo[k] > tolerance and steps[k] < _MAX_BISECT_ITER]:
-        along = [_path(lo[k], hi[k], guess[k], tolerance, _MAX_BISECT_ITER - steps[k]) for k in walks]
+    while walks := [k for k in range(len(brackets)) if hi[k] - lo[k] > tolerance]:
+        guess = [_newton(batch.terms[owner[k]], lo[k], hi[k], brackets[k].sign_lo) for k in walks]
+        along = [_path(lo[k], hi[k], toward, tolerance) for k, toward in zip(walks, guess)]
         ps = np.array([q for row in along for q in row])
-        at = None if owner is None else np.repeat([owner[k] for k in walks], [len(row) for row in along])
-        signs, logmag = (out.tolist() for out in kernel(ps, at)) if ps.size else ([], [])
+        at = np.repeat([owner[k] for k in walks], [len(row) for row in along])
+        signs = batch(ps, at)[0].tolist() if ps.size else []
         counts["predicted rounds"] += 1
         base = 0  # where the points of the next walk start
-        for k, row in zip(walks, along):
-            a, b, taken, sign_lo, toward, size = lo[k], hi[k], steps[k], brackets[k].sign_lo, guess[k], len(row)
+        for k, toward, row in zip(walks, guess, along):
+            a, b, sign_lo, size = lo[k], hi[k], brackets[k].sign_lo, len(row)
             node = 0  # the next midpoint: a level's midpoint at even nodes, its hedge at odd ones
-            while b - a > tolerance and taken < _MAX_BISECT_ITER:
+            while b - a > tolerance:
                 m = 0.5 * (a + b)
                 if m <= a or m >= b or (node < size and signs[base + node] == 0):
                     a = b = m  # stuck at the resolution of the floats, or an exact zero
                     break
                 if node >= size:
                     break  # the round holds no next midpoint
-                taken += 1
                 left = signs[base + node] != sign_lo
                 a, b = (a, m) if left else (m, b)
                 # the next level along the path, or the hedge, past which it holds nothing
                 node = size if node % 2 else node + (2 if left == (toward < m) else 1)
-            lo[k], hi[k], steps[k] = a, b, taken
-            if b - a > tolerance and taken < _MAX_BISECT_ITER:
-                counts["missed"] += 1
-                points = zip(row, signs[base : base + size], logmag[base : base + size])
-                guess[k] = _estimate(a, b, _nearest(points, a, b))
+            lo[k], hi[k] = a, b
+            counts["missed"] += b - a > tolerance
             base += size
     return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
 
@@ -982,13 +981,12 @@ def _windows(batch: _Batch) -> list[_Window]:
     budget = min(per_unit, _PARTIAL_BUDGET / (2.0 * _MAX_HALF_WIDTH))
     m = math.floor(_MAX_HALF_WIDTH * budget + 1e-9)
     cap = math.floor(_MAX_HALF_WIDTH * per_unit)
-    columns = [expsum.table.transpose(2, 0, 1).tolist() for expsum in batch.expsums]  # [spec][field][term]
     out = []
     for k, spec in enumerate(batch.specs):
         if len(set(spec.values)) < spec.n:
             terms = _ExpSum([merge_equal_values(spec)]).table[:, :, 0].tolist()
         else:
-            terms = columns[batch.group[k]][batch.row[k]]
+            terms = batch.terms[k]
         q_lo, q_hi = _end(terms, -1.0), _end(terms, 1.0)
         ends = (None if q_lo is None else 1.0 + q_lo, None if q_hi is None else 1.0 + q_hi)
         k_lo = None if q_lo is None else math.floor(ends[0] * per_unit) - 1
@@ -1186,10 +1184,11 @@ def find_inflections(spec: MeanSpec, precision: str = "auto") -> InflectionRepor
     A grid cell whose ends share a sign is halved until each part is
     cleared, isolated by Rolle's test or bracketed (see _Split), so a pair
     of roots closer than the grid spacing is found. Each bracket is
-    bisected to 1e-9 in about two kernel calls (see _bisect_all), each
-    along the bisection path toward the root that the grid's values, then
-    the last call's, predict. A residual that would need 50 digits and
-    decides nothing is taken when it is first read, with the same value.
+    bisected to 1e-9 along the path toward the root that Newton's method on
+    the exponential sum predicts (see _bisect_all), in one kernel call
+    wherever the sum locates the root in doubles. A residual that would
+    need 50 digits and decides nothing is taken when it is first read, with
+    the same value.
 
     The scan window is certified per spec (see _windows), and the report's
     scan_range is that window. Raises NoInflectionError for constant specs

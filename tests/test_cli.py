@@ -44,6 +44,12 @@ class TestEval:
         rc, _, _ = run(capsys, "eval", "-x", "1,2", "-p", "1", "--p-range", "0:1:0.5")
         assert rc == 1
 
+    @pytest.mark.parametrize("p_range", ["0:1e-300:1e-310", "-1e308:1e308:1"])
+    def test_rejects_a_grid_of_more_than_a_million_points(self, capsys, p_range):
+        rc, out, err = run(capsys, "eval", "-x", "1,2", f"--p-range={p_range}")
+        assert rc == 1 and not out
+        assert "--p-range" in err and "1,000,000 points" in err
+
     def test_negative_value_is_domain_error(self, capsys):
         rc, _, err = run(capsys, "eval", "-x", "-1,2", "-p", "1")
         assert rc == 2

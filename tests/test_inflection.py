@@ -34,7 +34,6 @@ from lehmer import calculus, inflection
 from lehmer.inflection import (
     _DEFER_MARGIN,
     _ESCALATION_FACTOR,
-    _MAX_BISECT_ITER,
     _REFINE_TOLERANCE,
     _Batch,
     _Bracket,
@@ -636,6 +635,19 @@ class TestRootPairs:
             assert root.p_star == pytest.approx(inflection._bisect_mp(spec, *root.bracket), abs=1e-9)
         [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("scan window")]
         assert "0 cells left unresolved" in line, line
+        assert _bisection_calls(caplog) <= 2  # the split's brackets are predicted like the grid's
+
+    def test_one_bisection_call_across_a_hundred_decades(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="lehmer.inflection")
+        report = find_inflections(make_spec([1e-50, 1.0, 1e50]))
+        assert len(report.roots) == 1
+        assert _bisection_calls(caplog) == 1
+
+
+def _bisection_calls(caplog):
+    """The bisection's kernel calls on the last debug line of a batch."""
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("batch of")][-1:]
+    return int(line.split("bisection: ")[1].split(" kernel calls")[0])
 
 
 class TestGridHalo:
@@ -709,10 +721,7 @@ def _stepwise_bisection(kernel, brackets, tolerance):
         if br.exact_p is not None:
             lo[k] = hi[k] = br.exact_p
     calls = 0
-    for _ in range(_MAX_BISECT_ITER):
-        active = np.nonzero(hi - lo > tolerance)[0]
-        if active.size == 0:
-            break
+    while (active := np.nonzero(hi - lo > tolerance)[0]).size:
         mids = 0.5 * (lo[active] + hi[active])
         stuck = (mids <= lo[active]) | (mids >= hi[active])
         hi[active[stuck]] = lo[active[stuck]] = mids[stuck]
@@ -738,15 +747,15 @@ class TestSectionBisection:
         batch = _Batch([spec])
         [window] = _windows(batch)
         [(brackets, _)] = _collect_brackets(batch, [window.grid], [[]])
-        return batch.kernels[0], brackets
+        return batch, brackets
 
     @staticmethod
-    def _same(kernel, brackets, tolerance):
-        expected, step_calls = _stepwise_bisection(kernel, brackets, tolerance)
-        before = kernel.calls
-        got = _bisect_all(kernel, brackets, tolerance)
+    def _same(batch, brackets, tolerance):
+        expected, step_calls = _stepwise_bisection(batch.kernels[0], brackets, tolerance)
+        before = batch.calls
+        got = _bisect_all(batch, brackets, tolerance)
         assert np.array_equal(got, expected), (got, expected)
-        return kernel.calls - before, step_calls
+        return batch.calls - before, step_calls
 
     def test_scan_brackets_of_many_specs(self, rng):
         cluster = Cluster()
@@ -769,46 +778,44 @@ class TestSectionBisection:
                 specs.append(make_spec(values.tolist(), weights))
         several = 0
         for spec in specs:
-            kernel, brackets = self._scan_brackets(spec)
+            batch, brackets = self._scan_brackets(spec)
             several += len(brackets) > 1
-            calls, step_calls = self._same(kernel, brackets, 1e-9)
+            calls, step_calls = self._same(batch, brackets, 1e-9)
             if step_calls:
                 assert calls <= math.ceil(step_calls / 2)
         assert several >= 2  # the canonical four values and the ulp-spaced triple
 
     def test_exact_zeros(self):
         # the unit-pair kernel is exactly zero at p=1, the first midpoint of [0.5, 1.5]
-        kernel = _Kernel([make_spec([0.5, 2.5])])
+        batch = _Batch([make_spec([0.5, 2.5])])
         brackets = [
             _Bracket(0.875, 1.125, 1, 0.0, exact_p=1.0),
             _Bracket(0.5, 1.5, 1, 0.0),
             _Bracket(0.25, 0.375, 1, 0.0),
         ]
-        self._same(kernel, brackets, 1e-9)
-        assert _bisect_all(kernel, brackets[:2], 1e-9).tolist() == [1.0, 1.0]
+        self._same(batch, brackets, 1e-9)
+        assert _bisect_all(batch, brackets[:2], 1e-9).tolist() == [1.0, 1.0]
 
     def test_brackets_at_float_resolution_get_stuck(self):
         spec = make_spec([1.0, 2.0, 3.0])
-        kernel = _Kernel([spec])
+        batch = _Batch([spec])
         root = find_inflections(spec).roots[0].p_star
         brackets = [
             _Bracket(root, math.nextafter(root, 2.0), 1, 0.0),
             _Bracket(math.nextafter(root, -2.0), math.nextafter(math.nextafter(root, 2.0), 2.0), 1, 0.0),
             _Bracket(root - 0.5, root + 0.5, 1, 0.0),
         ]
-        self._same(kernel, brackets, 0.0)
-        self._same(kernel, brackets[:1], 0.0)
+        self._same(batch, brackets, 0.0)
+        self._same(batch, brackets[:1], 0.0)
 
-    def test_step_cap_cuts_a_tiny_tolerance_short(self):
+    def test_a_tiny_tolerance_ends_where_plain_bisection_does(self):
         # halving [-1e30, 1e30] down to the root near 0.71 takes about 150
-        # steps, more than the cap allows
+        # steps, and ends at a midpoint stuck at the resolution of the floats
         spec = make_spec([1.0, 2.0, 3.0])
-        kernel = _Kernel([spec])
         brackets = [_Bracket(-1e30, 1e30, 1, 0.0), _Bracket(0.5, 1.0, 1, 0.0)]
-        got = _bisect_all(kernel, brackets, 1e-300)
-        expected, step_calls = _stepwise_bisection(kernel, brackets, 1e-300)
-        assert step_calls == _MAX_BISECT_ITER
-        assert np.array_equal(got, expected)
+        calls, step_calls = self._same(_Batch([spec]), brackets, 1e-300)
+        assert step_calls > 128
+        assert calls <= math.ceil(step_calls / 2)
 
 
 def _plain_bisection(spec, br, tolerance):
@@ -817,9 +824,7 @@ def _plain_bisection(spec, br, tolerance):
         return br.exact_p
     kernel = _Kernel([spec])
     lo, hi = br.lo, br.hi
-    for _ in range(_MAX_BISECT_ITER):
-        if hi - lo <= tolerance:
-            break
+    while hi - lo > tolerance:
         m = 0.5 * (lo + hi)
         if m <= lo or m >= hi:
             return m
@@ -834,9 +839,9 @@ def _plain_bisection(spec, br, tolerance):
 
 
 class TestPredictedBisection:
-    """Rounds along the path toward the interpolated root, the first one
-    predicted from the grid's halo: the midpoints of plain bisection, in
-    about two kernel calls."""
+    """Rounds along the path toward the root that Newton's method on the
+    exponential sum predicts: the midpoints of plain bisection, in one
+    kernel call where the sum locates the root."""
 
     @staticmethod
     def _specs(rng):
@@ -875,7 +880,7 @@ class TestPredictedBisection:
             part_batch, part_brackets, part_owner = self._brackets(part)
             got = _bisect_all(part_batch, part_brackets, 1e-9, part_owner)
             assert np.array_equal(got, expected[(owner >= start) & (owner < start + 7)][: len(part_brackets)])
-        singles = [_bisect_all(_Kernel([specs[t]]), [br], 1e-9)[0] for t, br in zip(owner.tolist(), brackets)]
+        singles = [_bisect_all(_Batch([specs[t]]), [br], 1e-9)[0] for t, br in zip(owner.tolist(), brackets)]
         assert np.array_equal(np.array(singles), expected)
 
     def test_a_wrong_estimate_takes_the_fallback(self, rng, monkeypatch):
@@ -884,14 +889,14 @@ class TestPredictedBisection:
         counts = Counter()
         expected = _bisect_all(batch, brackets, 1e-9, owner, counts)
         rounds = counts["predicted rounds"]
-        estimate = inflection._estimate
+        newton = inflection._newton
 
-        def wrong(lo, hi, nodes):
+        def wrong(terms, lo, hi, sign_lo):
             # inside the bracket, but on the far side of its midpoint from the estimate
-            right = estimate(lo, hi, nodes) < 0.5 * (lo + hi)
+            right = newton(terms, lo, hi, sign_lo) < 0.5 * (lo + hi)
             return lo + (0.999 if right else 0.001) * (hi - lo)
 
-        monkeypatch.setattr(inflection, "_estimate", wrong)
+        monkeypatch.setattr(inflection, "_newton", wrong)
         batch, brackets, owner = self._brackets(specs)
         counts = Counter()
         assert np.array_equal(_bisect_all(batch, brackets, 1e-9, owner, counts), expected)
@@ -914,16 +919,16 @@ class TestPredictedBisection:
                 hi = m
         (a, b), (c, d) = visited[-2:]
         wrong = 0.5 * (a + c) if c > a else 0.5 * (d + b)  # the midpoint of the half not taken
-        monkeypatch.setattr(inflection, "_estimate", lambda lo, hi, nodes: wrong)
+        monkeypatch.setattr(inflection, "_newton", lambda terms, lo, hi, sign_lo: wrong)
         counts = Counter()
         assert _bisect_all(batch, [br], _REFINE_TOLERANCE, owner, counts).tolist() == [0.5 * (lo + hi)]
         assert batch.calls == 2 and counts["missed"] == 0  # the grid and the path
 
-    def test_two_kernel_calls_for_one_root(self):
+    def test_one_kernel_call_for_one_root(self):
         batch, brackets, owner = self._brackets([make_spec([1.0, 2.0, 3.0])])
         before = batch.calls
         _bisect_all(batch, brackets, _REFINE_TOLERANCE, owner)
-        assert batch.calls - before == 2
+        assert batch.calls - before == 1
 
     def test_debug_line_says_how_the_refinement_went(self, caplog):
         caplog.set_level(logging.DEBUG, logger="lehmer.inflection")
@@ -932,8 +937,8 @@ class TestPredictedBisection:
             find_inflections(make_spec(values))
             [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("batch of")]
             assert (
-                "bisection: 2 kernel calls" in line
-                and "2 predicted rounds, 1 walks missed their prediction" in line
+                "bisection: 1 kernel calls" in line
+                and "1 predicted rounds, 0 walks missed their prediction" in line
                 and f"residuals: {roots} deferred, 0 taken at 50 digits" in line
             ), line
 

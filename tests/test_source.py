@@ -44,6 +44,34 @@ def test_every_private_constant_is_read_in_its_module(path):
     assert not unread, f"{path.name} defines {', '.join(unread)}, which it never reads"
 
 
+def test_every_private_helper_is_named_elsewhere():
+    # a module-level function or class that no other code names is code
+    # nothing runs: every _name def must be named outside its own definition
+    # (a name, an attribute or a from-import) somewhere in the package
+    defs, named = [], []  # (module, statement index, name); names per statement
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for index, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defs.append((path.name, index, node.name))
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names.update(alias.name for alias in sub.names)
+            named.append(((path.name, index), names))
+    assert len(defs) > 50  # the walk found the package's helpers
+    dead = [
+        f"{module}:{name}"
+        for module, index, name in defs
+        if not any(name in names for where, names in named if where != (module, index))
+    ]
+    assert not dead, f"nothing outside their own definitions names {', '.join(dead)}"
+
+
 def test_package_source_found():
     assert "__init__.py" in {path.name for path in MODULES}
 
